@@ -132,6 +132,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <filesystem>
@@ -961,92 +962,161 @@ selfExecutable(const char *argv0)
 }
 
 /**
- * Per-request status lines for a merged BatchReport document --
- * the same shape --batch prints, parsed back from the merged
- * JSON so shard and coordinate modes share one path.
+ * Per-request status lines for a merged BatchReport -- the same
+ * shape --batch prints -- from one on-demand scan of its compact
+ * text, no DOM. The binding and kind come straight from the
+ * canonical request members (`appendRequest` spells `analysis`
+ * as `toString(kind)`).
  */
 void
-printMergedOutcomes(const std::vector<json::Value> &outcomes)
+printMergedOutcomes(std::string_view report_text)
 {
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const json::Value &outcome = outcomes[i];
-        const bool ok = outcome.booleanOr("ok", false);
-        // Parse the request back so kind/binding print through
-        // the same typed path as the --batch status lines.
-        const AnalysisRequest request =
-            requestFromJson(outcome.at("request"));
-        std::cout << "  [" << (ok ? "ok" : "FAILED") << "] #"
-                  << i << " " << toString(request.kind()) << " "
-                  << request.scenario.label();
-        if (ok)
-            std::cout << " -- "
-                      << outcome.at("result").stringOr("detail",
-                                                       "");
-        else
-            std::cout << " -- " << outcome.stringOr("error", "");
-        std::cout << "\n";
+    json::ondemand::Scanner scanner(report_text);
+    std::string key;
+    scanner.beginObject();
+    while (scanner.nextMember(key)) {
+        if (key != "outcomes") {
+            scanner.rawValue();
+            continue;
+        }
+        scanner.beginArray();
+        for (std::size_t i = 0; scanner.nextElement(); ++i) {
+            bool ok = false;
+            std::string binding, kind, detail, error;
+            scanner.beginObject();
+            while (scanner.nextMember(key)) {
+                if (key == "ok") {
+                    ok = scanner.boolean();
+                } else if (key == "error") {
+                    error = scanner.string();
+                } else if (key == "request") {
+                    scanner.beginObject();
+                    while (scanner.nextMember(key)) {
+                        if (key == "scenario")
+                            binding = ScenarioRef::scenario(
+                                          scanner.string())
+                                          .label();
+                        else if (key == "design_dir")
+                            binding = ScenarioRef::designDirectory(
+                                          scanner.string())
+                                          .label();
+                        else if (key == "analysis")
+                            kind = scanner.string();
+                        else
+                            scanner.rawValue();
+                    }
+                } else if (key == "result") {
+                    scanner.beginObject();
+                    while (scanner.nextMember(key)) {
+                        if (key == "detail")
+                            detail = scanner.string();
+                        else
+                            scanner.rawValue();
+                    }
+                } else {
+                    scanner.rawValue();
+                }
+            }
+            std::cout << "  [" << (ok ? "ok" : "FAILED") << "] #"
+                      << i << " " << kind << " " << binding
+                      << " -- " << (ok ? detail : error) << "\n";
+        }
     }
+    scanner.expectEnd();
 }
 
-/**
- * Write the merged report pretty-printed to @p path -- the same
- * bytes `json::writeFile(mergedReport, path)` produces, but
- * transcoded straight from the compact merge text (one scan, no
- * DOM).
- */
-void
-writeMergedReportFile(const std::string &report_text,
-                      const std::string &path)
+/** The coordinator options --shard and --coordinate share. */
+CoordinatorOptions
+coordinatorOptions(const CliOptions &opts, const char *argv0,
+                   const std::string &batch_path)
 {
-    std::ofstream out(path, std::ios::binary);
-    requireConfig(static_cast<bool>(out),
-                  "cannot write JSON file: " + path);
-    out << json::ondemand::reserialize(report_text, true)
-        << '\n';
-}
-
-/**
- * Coordinate a sharded batch: fork/exec one `--shard_worker`
- * process per shard, merge the reports, and print the same
- * per-request status lines as --batch. Returns 1 when any
- * request failed.
- */
-int
-runShard(const CliOptions &opts, const char *argv0)
-{
-    ShardedRunOptions run;
-    run.batchPath = opts.shardPath;
-    run.shards = opts.shards.value_or(2);
+    CoordinatorOptions run;
+    run.batchPath = batch_path;
     // Unset: automatic (the machine divided between the workers
-    // actually planned).
+    // that run at once).
     run.engineThreadsPerWorker = opts.engineThreads.value_or(0);
     run.shardDir = opts.shardDir;
     run.workerExe = selfExecutable(argv0);
     run.scenariosPath = opts.scenariosPath;
+    return run;
+}
 
-    const ShardedRunResult result = runShardedBatch(run);
-
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
-    std::cout << "shard: " << outcomes.size()
-              << " requests across " << result.shardsUsed
-              << " worker process(es), "
-              << result.threadsPerWorker
-              << " engine thread(s) each\n";
-    printMergedOutcomes(outcomes);
-    std::cout << result.succeeded << "/" << outcomes.size()
-              << " requests ok\n";
-    if (!opts.shardDir.empty())
+/**
+ * Print a coordinated run's status lines and summary, and write
+ * the merged report to --json when asked. @p coordinate adds the
+ * --coordinate extras: the re-dispatch count and the journal
+ * path. Returns 1 when any request failed.
+ */
+int
+reportCoordinatedRun(const CliOptions &opts,
+                     const CoordinatedRunResult &result,
+                     bool coordinate)
+{
+    const std::size_t total = result.succeeded + result.failed;
+    if (result.resumedOutcomes > 0)
+        std::cout << "resumed " << result.resumedOutcomes
+                  << " journaled outcome(s); they were not "
+                  << "re-run\n";
+    printMergedOutcomes(result.mergedReportText);
+    std::cout << result.succeeded << "/" << total
+              << " requests ok";
+    if (coordinate)
+        std::cout << ", " << result.redispatches
+                  << " re-dispatch(es)";
+    std::cout << "\n";
+    if (result.aborted)
+        std::cout << "aborted early after "
+                  << *opts.abortAfterFailures
+                  << " failed request(s); re-run with --resume "
+                  << "to finish the remaining requests\n";
+    if (!opts.shardDir.empty()) {
         std::cout << "shard scratch files kept in "
-                  << opts.shardDir << "\n";
+                  << opts.shardDir;
+        if (coordinate)
+            std::cout << " (outcome journal: "
+                      << result.journalPath << ")";
+        std::cout << "\n";
+    }
 
     if (opts.jsonPath) {
-        writeMergedReportFile(result.mergedReportText,
-                              *opts.jsonPath);
+        // The same bytes json::writeFile produces, transcoded
+        // straight from the compact merge text (one scan, no
+        // DOM).
+        std::ofstream out(*opts.jsonPath, std::ios::binary);
+        requireConfig(static_cast<bool>(out),
+                      "cannot write JSON file: " + *opts.jsonPath);
+        out << json::ondemand::reserialize(result.mergedReportText,
+                                           true)
+            << '\n';
         std::cout << "merged report written to "
                   << *opts.jsonPath << "\n";
     }
     return result.allOk() ? 0 : 1;
+}
+
+/**
+ * Split a batch across --shards local worker processes: a
+ * coordinated run over one local host with that many slots, no
+ * retries, and no deadline. Prints the same per-request status
+ * lines as --batch. Returns 1 when any request failed.
+ */
+int
+runShard(const CliOptions &opts, const char *argv0)
+{
+    CoordinatorOptions run =
+        coordinatorOptions(opts, argv0, opts.shardPath);
+    run.hosts.hosts = {
+        HostSpec{"localhost", opts.shards.value_or(2), ""}};
+    run.retries = 0;
+
+    const CoordinatedRunResult result =
+        runDynamicCoordinatedBatch(run);
+    std::cout << "shard: " << result.succeeded + result.failed
+              << " requests in " << result.chunksPlanned
+              << " chunk(s) across " << run.hosts.totalSlots()
+              << " worker slot(s), " << result.threadsPerWorker
+              << " engine thread(s) each\n";
+    return reportCoordinatedRun(opts, result, false);
 }
 
 /**
@@ -1060,17 +1130,11 @@ runShard(const CliOptions &opts, const char *argv0)
 int
 runCoordinate(const CliOptions &opts, const char *argv0)
 {
-    CoordinatorOptions run;
-    run.batchPath = opts.coordinatePath;
+    CoordinatorOptions run =
+        coordinatorOptions(opts, argv0, opts.coordinatePath);
     run.hosts = loadHostManifest(opts.hostsPath);
     run.retries = opts.retries.value_or(2);
     run.shardTimeoutSeconds = opts.shardTimeout.value_or(0.0);
-    // Unset: automatic (the machine divided between the shards
-    // actually planned).
-    run.engineThreadsPerWorker = opts.engineThreads.value_or(0);
-    run.shardDir = opts.shardDir;
-    run.workerExe = selfExecutable(argv0);
-    run.scenariosPath = opts.scenariosPath;
     run.chunkTargetRequests = opts.chunkSize.value_or(0);
     run.resume = opts.resume;
     run.abortAfterFailedRequests =
@@ -1100,47 +1164,18 @@ runCoordinate(const CliOptions &opts, const char *argv0)
 
     const CoordinatedRunResult result =
         runDynamicCoordinatedBatch(run);
-
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
-    std::cout << "coordinate: " << outcomes.size()
+    std::cout << "coordinate: " << result.succeeded + result.failed
               << " requests across " << run.hosts.hosts.size()
               << " host(s) / " << run.hosts.totalSlots()
               << " slot(s), " << result.chunksPlanned
               << " chunk(s), " << result.threadsPerWorker
               << " engine thread(s) each\n";
-    if (result.resumedOutcomes > 0)
-        std::cout << "resumed " << result.resumedOutcomes
-                  << " journaled outcome(s); they were not "
-                  << "re-run\n";
-    printMergedOutcomes(outcomes);
-    std::cout << result.succeeded << "/" << outcomes.size()
-              << " requests ok, " << result.redispatches
-              << " re-dispatch(es)\n";
-    if (result.aborted)
-        std::cout << "aborted early after "
-                  << *opts.abortAfterFailures
-                  << " failed request(s); re-run with --resume "
-                  << "to finish the remaining requests\n";
-    if (!opts.shardDir.empty())
-        std::cout << "shard scratch files kept in "
-                  << opts.shardDir << " (outcome journal: "
-                  << result.journalPath << ")\n";
-
-    if (opts.jsonPath) {
-        writeMergedReportFile(result.mergedReportText,
-                              *opts.jsonPath);
-        std::cout << "merged report written to "
-                  << *opts.jsonPath << "\n";
-    }
-    return result.allOk() ? 0 : 1;
+    return reportCoordinatedRun(opts, result, true);
 }
 
 int
-run(int argc, char **argv)
+run(const CliOptions &opts, const char *argv0)
 {
-    const CliOptions opts = parseArgs(argc, argv);
-
     // Server modes manage their own registries, like the shard
     // modes below.
     if (opts.serve)
@@ -1162,10 +1197,10 @@ run(int argc, char **argv)
             opts.scenariosPath, eventsPathFor(*opts.jsonPath));
 
     if (!opts.shardPath.empty())
-        return runShard(opts, argv[0]);
+        return runShard(opts, argv0);
 
     if (!opts.coordinatePath.empty())
-        return runCoordinate(opts, argv[0]);
+        return runCoordinate(opts, argv0);
 
     ScenarioRegistry registry = ScenarioRegistry::builtin();
     if (!opts.scenariosPath.empty())
@@ -1255,11 +1290,21 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
+    // The usage banner answers a malformed command line only; a
+    // runtime failure (bad file, unknown scenario) prints just
+    // its message, so the message is not buried.
+    CliOptions opts;
     try {
-        return run(argc, argv);
+        opts = parseArgs(argc, argv);
     } catch (const ecochip::Error &e) {
         std::cerr << "eco_chip: " << e.what() << "\n";
         printUsage(std::cerr);
+        return 1;
+    }
+    try {
+        return run(opts, argv[0]);
+    } catch (const ecochip::Error &e) {
+        std::cerr << "eco_chip: " << e.what() << "\n";
         return 1;
     }
 }

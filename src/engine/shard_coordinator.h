@@ -1,60 +1,49 @@
 /**
  * @file
- * Multi-host coordination of a sharded request batch.
+ * The batch scheduler behind `--shard` and `--coordinate`.
  *
- * `engine/shard_runner.h` runs shards as worker processes on one
- * machine; this module is the layer above it: a coordinator that
- * takes the same `planShards` output and dispatches each shard
- * through a pluggable `ShardTransport` onto the hosts of a
- * `hosts.json` manifest (`io/host_manifest_io.h`):
+ * `runDynamicCoordinatedBatch` splits a batch into many more
+ * binding-cohesive chunks than slots (`engine/work_queue.h`)
+ * and dispatches them through a pluggable `ShardTransport` onto
+ * the hosts of a `hosts.json` manifest
+ * (`io/host_manifest_io.h`):
  *
- *  - `LocalProcessTransport` wraps the fork(/exec) worker path,
- *    so `runShardedBatch` is now a thin wrapper over the
- *    coordinator with a one-host manifest.
+ *  - `LocalProcessTransport` runs a worker process on the
+ *    coordinating machine. `--shard --shards K` is a run over a
+ *    one-host manifest of K such slots, with no retries and no
+ *    deadline.
  *  - `CommandTransport` runs a user-supplied command template
  *    (e.g. `ssh {host} eco_chip --shard_worker {sub_batch} ...`)
  *    through `/bin/sh -c`. The sub-batch and report files are
  *    staged in the run's shard directory, which must be visible
  *    to the remote host (shared filesystem) -- see
  *    `docs/distributed.md`.
- *  - `TestTransport` injects faults (failed or hanging
- *    dispatches) and records the dispatch history, for tests.
  *
- * Two schedulers share those transports, both single-threaded
- * event loops (so the fork-only library mode stays safe to
- * use):
- *
- *  - `runCoordinatedBatch` executes a *static* plan: one shard
- *    per manifest slot, dealt up front, merged from the
- *    per-shard report files once every shard finished.
- *  - `runDynamicCoordinatedBatch` (the `--coordinate` CLI path)
- *    executes a *pull queue*: the batch splits into many more
- *    binding-cohesive chunks than slots (`engine/work_queue.h`),
- *    each free slot pulls the next chunk, workers stream
- *    outcomes back as NDJSON events the coordinator tails and
- *    merges incrementally, every first-delivered outcome is
- *    journaled for `--resume`, and `--progress` /
- *    early-abort policies consume the live stream.
- *
- * Both detect stragglers against a configurable deadline,
- * cancel and re-dispatch them -- bounded by
- * `CoordinatorOptions::retries` -- preferring hosts the work
- * has not failed on yet, and both keep the merged `BatchReport`
+ * The scheduler is a single-threaded event loop (so the
+ * fork-only library mode stays safe to use). Each free slot
+ * pulls the next chunk; workers stream outcomes back as NDJSON
+ * events the coordinator tails and merges incrementally; every
+ * first-delivered outcome is journaled for `--resume`; and
+ * `--progress` / early-abort policies consume the live stream.
+ * Stragglers are cancelled against a configurable deadline and
+ * failed dispatches re-dispatched -- bounded by
+ * `CoordinatorOptions::retries` -- preferring hosts the chunk
+ * has not failed on yet. The merged `BatchReport` stays
  * byte-identical to the single-process `--batch` run no matter
  * how many hosts, failures, or re-dispatches were involved
  * (locked by `tests/test_engine.cpp` and the
- * `coordinate_equivalence` / `coordinate_resume` CTests).
+ * `shard_equivalence` / `coordinate_equivalence` /
+ * `coordinate_resume` CTests).
  *
- * CLI: `eco_chip --coordinate FILE --hosts HOSTS.json`
- * (`docs/cli.md`); operator guide: `docs/distributed.md`.
+ * CLI: `eco_chip --coordinate FILE --hosts HOSTS.json` and
+ * `eco_chip --shard FILE --shards K` (`docs/cli.md`); operator
+ * guide: `docs/distributed.md`.
  */
 
 #ifndef ECOCHIP_ENGINE_SHARD_COORDINATOR_H
 #define ECOCHIP_ENGINE_SHARD_COORDINATOR_H
 
-#include <chrono>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -63,17 +52,16 @@
 #include <vector>
 
 #include "io/host_manifest_io.h"
-#include "json/json.h"
 
 namespace ecochip {
 
-/** One attempt to run one shard on one host. */
+/** One attempt to run one work chunk on one host. */
 struct ShardDispatch
 {
-    /** Shard index within the plan. */
+    /** Chunk index within the plan. */
     std::size_t shard = 0;
 
-    /** 0-based attempt number for this shard. */
+    /** 0-based attempt number for this chunk. */
     std::size_t attempt = 0;
 
     /** Manifest name of the host this dispatch targets. */
@@ -88,9 +76,9 @@ struct ShardDispatch
     /**
      * Where the worker streams its NDJSON outcome events
      * (`eventsPathFor(reportPath)` by convention -- see
-     * `io/event_journal_io.h`). The dynamic coordinator tails
-     * this file to merge outcomes while the dispatch is still
-     * running; the static coordinator ignores it.
+     * `io/event_journal_io.h`). The coordinator tails this
+     * file to merge outcomes while the dispatch is still
+     * running.
      */
     std::string eventsPath;
 
@@ -107,8 +95,8 @@ struct ShardDispatch
 
 /**
  * How a dispatch reaches a host. One transport instance serves
- * one manifest host; a shard has at most one live dispatch at a
- * time, so the shard index keys `poll`/`cancel`.
+ * one manifest host; a chunk has at most one live dispatch at a
+ * time, so the chunk index keys `poll`/`cancel`.
  *
  * The exit-code contract matches the shard-worker convention:
  * 0 = every request ok, 1 = some requests failed (the report is
@@ -186,117 +174,7 @@ class CommandTransport : public ShardTransport
 };
 
 /**
- * One scheduled fault of a `TestTransport`: what the nth
- * dispatch of a shard/chunk does instead of (or around) running
- * the worker.
- */
-struct TransportFault
-{
-    enum class Kind
-    {
-        /** Never completes; polls nullopt until cancelled. */
-        Hang,
-        /** Reports `exitCode` without writing report/events. */
-        Fail,
-        /** Runs the worker, but completion is delayed by
-         *  `delaySeconds` (a slow host / straggler). */
-        Slow,
-        /** Kill-mid-stream: the worker's first `eventLines`
-         *  event lines reach the events file, no report is
-         *  written, and the dispatch reports exit 137 -- a
-         *  worker SIGKILLed partway through its chunk. */
-        KillMidStream,
-    };
-
-    Kind kind = Kind::Fail;
-
-    /** Exit code a `Fail` dispatch reports. */
-    int exitCode = 134;
-
-    /** Completion delay of a `Slow` dispatch, seconds. */
-    double delaySeconds = 0.0;
-
-    /** Event lines a `KillMidStream` dispatch delivers before
-     *  dying. */
-    std::size_t eventLines = 0;
-};
-
-/**
- * Fault-injecting transport for tests: runs dispatches
- * in-process through `runShardWorker` (no fork). Each
- * shard/chunk has a fault schedule: its nth dispatch consumes
- * the nth scheduled `TransportFault` (in injection order);
- * dispatches beyond the schedule run healthy. Every dispatch
- * (including injected ones) is recorded in `history()` -- the
- * dispatch-order trace the fault-matrix tests assert against.
- */
-class TestTransport : public ShardTransport
-{
-  public:
-    /** Append @p fault to @p shard's schedule. */
-    void injectFault(std::size_t shard, TransportFault fault);
-
-    /** Append @p count hangs to @p shard's schedule: each hangs
-     *  until the coordinator cancels it. */
-    void injectHangs(std::size_t shard, std::size_t count);
-
-    /** Append @p count failures to @p shard's schedule: each
-     *  fails (exit 134) without writing a report. */
-    void injectFailures(std::size_t shard, std::size_t count);
-
-    /**
-     * Delay every healthy completion on this transport by
-     * @p seconds plus @p per_request_seconds per sub-batch
-     * request -- an uneven-speed host whose throughput, not just
-     * latency, lags the rest of the fleet.
-     */
-    void setSpeed(double seconds, double per_request_seconds);
-
-    void start(const ShardDispatch &dispatch) override;
-    std::optional<int> poll(std::size_t shard) override;
-    void cancel(std::size_t shard) override;
-    std::string name() const override { return "test"; }
-
-    /** Every dispatch started, in start order. */
-    const std::vector<ShardDispatch> &history() const
-    {
-        return history_;
-    }
-
-    /** Dispatches the coordinator cancelled. */
-    std::size_t cancelled() const { return cancelled_; }
-
-  private:
-    struct LiveDispatch
-    {
-        ShardDispatch dispatch;
-
-        /** Hung dispatches poll nullopt until cancelled. */
-        bool hung = false;
-
-        /** Exit code decided at start (injected failures);
-         *  unset = run the worker at the first ripe poll. */
-        std::optional<int> exitCode;
-
-        /** Worker runs at the first poll past this point. */
-        std::chrono::steady_clock::time_point readyAt;
-
-        /** Kill-mid-stream: deliver only this many event
-         *  lines, no report. */
-        std::optional<std::size_t> truncateEvents;
-    };
-
-    std::map<std::size_t, std::deque<TransportFault>> schedule_;
-    std::map<std::size_t, std::size_t> dispatches_;
-    std::map<std::size_t, LiveDispatch> live_;
-    std::vector<ShardDispatch> history_;
-    std::size_t cancelled_ = 0;
-    double delaySeconds_ = 0.0;
-    double perRequestDelaySeconds_ = 0.0;
-};
-
-/**
- * A progress snapshot of a dynamic coordinated run, delivered
+ * A progress snapshot of a coordinated run, delivered
  * through `CoordinatorOptions::onProgress` (the `--progress`
  * consumer).
  */
@@ -336,18 +214,17 @@ struct CoordinatorProgress
     bool aborted = false;
 };
 
-/** How `runCoordinatedBatch` schedules a batch onto hosts. */
+/** How `runDynamicCoordinatedBatch` schedules a batch onto
+ *  hosts. */
 struct CoordinatorOptions
 {
-    /** Batch file to shard and dispatch. */
+    /** Batch file to split and dispatch. */
     std::string batchPath;
 
-    /** Host manifest; `totalSlots()` is the shard-count request
-     *  (capped, as always, at the number of distinct scenario
-     *  bindings). */
+    /** Host manifest; `totalSlots()` chunks run at once. */
     HostManifest hosts;
 
-    /** Re-dispatches allowed per shard (>= 0): a shard may run
+    /** Re-dispatches allowed per chunk (>= 0): a chunk may run
      *  `retries + 1` times before the run fails. */
     int retries = 2;
 
@@ -359,7 +236,7 @@ struct CoordinatorOptions
     double shardTimeoutSeconds = 0.0;
 
     /** Engine threads per worker; 0 sizes automatically
-     *  (hardware threads / planned shard count, at least 1). */
+     *  (hardware threads / concurrent workers, at least 1). */
     int engineThreadsPerWorker = 0;
 
     /**
@@ -387,8 +264,6 @@ struct CoordinatorOptions
     std::function<std::shared_ptr<ShardTransport>(
         const HostSpec &)>
         transportFactory;
-
-    // ---- dynamic scheduling (runDynamicCoordinatedBatch) ----
 
     /**
      * Target requests per work chunk (`--chunk_size`). 0 sizes
@@ -443,44 +318,32 @@ struct ShardAttempt
 /** What a coordinated run produced. */
 struct CoordinatedRunResult
 {
-    /** Merged `BatchReport` document, original request order --
-     *  byte-identical to the single-process `--batch` run. */
-    json::Value mergedReport;
-
-    /** The same report as canonical compact text -- exactly
-     *  `mergedReport.dump(false)`, produced on the scan-and-splice
-     *  merge path without a DOM. Consumers that only re-serialize
-     *  (`--json` output) should use this. */
+    /** Merged `BatchReport` document as canonical compact text,
+     *  original request order -- byte-identical to the
+     *  single-process `--batch` run's `dump(false)`, spliced from
+     *  the outcome spans without a DOM. */
     std::string mergedReportText;
-
-    /** Shards actually planned (<= manifest slots). */
-    std::size_t shardsUsed = 0;
 
     /** Engine threads each worker ran with. */
     int threadsPerWorker = 0;
 
-    /** Requests that succeeded / failed across all shards. */
+    /** Requests that succeeded / failed across all chunks. */
     std::size_t succeeded = 0;
     std::size_t failed = 0;
 
-    /** Shard dispatches that were retried (failures +
+    /** Chunk dispatches that were retried (failures +
      *  cancelled stragglers). */
     std::size_t redispatches = 0;
 
     /** Every dispatch, in completion-handling order. */
     std::vector<ShardAttempt> attempts;
 
-    /** Sub-batch files, in shard order (empty when the scratch
+    /** Sub-batch files, in chunk order (empty when the scratch
      *  directory was temporary and has been removed). */
     std::vector<std::string> shardFiles;
 
-    /** Per-shard report files (ditto). */
-    std::vector<std::string> reportFiles;
-
-    // ---- dynamic-run extras (runDynamicCoordinatedBatch) ----
-
-    /** Work chunks planned (dynamic runs; 0 when the journal
-     *  already answered every request). */
+    /** Work chunks planned (0 when the journal already answered
+     *  every request). */
     std::size_t chunksPlanned = 0;
 
     /** Outcomes replayed from the journal (`resume`). */
@@ -493,22 +356,9 @@ struct CoordinatedRunResult
      *  was temporary and has been removed). */
     std::string journalPath;
 
-    /** True when every request of every shard succeeded. */
+    /** True when every request succeeded. */
     bool allOk() const { return failed == 0; }
 };
-
-/**
- * Shard @p options.batchPath across the manifest's hosts and
- * merge the reports.
- *
- * @throws ConfigError on invalid options or malformed files.
- * @throws Error when a shard exhausts its retries without
- *         producing a usable report -- a worker that merely had
- *         failing requests exits 1 and is reported through the
- *         merged outcomes instead.
- */
-CoordinatedRunResult
-runCoordinatedBatch(const CoordinatorOptions &options);
 
 /**
  * Dynamically schedule @p options.batchPath across the
@@ -527,10 +377,12 @@ runCoordinatedBatch(const CoordinatorOptions &options);
  * which case the never-dispatched requests carry synthetic
  * `"aborted"` failure outcomes instead.
  *
- * Failure semantics (retries, host exclusion, straggler
- * deadline, exit-code contract) match `runCoordinatedBatch`,
- * applied per chunk; outcomes a failed attempt already streamed
- * are kept, and the retry's duplicates are ignored.
+ * A dispatch that dies (any exit code but 0 or 1) or misses the
+ * straggler deadline costs one retry and re-queues its chunk,
+ * preferring hosts the chunk has not failed on; outcomes the
+ * failed attempt already streamed are kept, and the retry's
+ * duplicates are ignored. A worker whose *requests* fail exits 1
+ * and is reported through the merged outcomes, never retried.
  *
  * @throws ConfigError on invalid options, malformed files, or a
  *         journal that does not match the batch.

@@ -1,38 +1,31 @@
 /**
  * @file
- * Multi-process execution of a sharded request batch.
+ * One shard worker: the process-level unit of `--shard` and
+ * `--coordinate` runs.
  *
- * The planner (`engine/shard_planner.h`) decides *what* each
- * shard runs; this module runs the shards as worker processes and
- * merges their reports:
- *
- *  - `runShardWorker` is one worker's whole job -- load a
- *    sub-batch file, run it on an in-process `AnalysisEngine`,
- *    write the `BatchReport` JSON to disk. `eco_chip
- *    --shard_worker` is a thin wrapper around it.
- *  - `runShardedBatch` coordinates one machine: split the batch,
- *    fork K workers, wait for them, merge the per-shard reports
- *    into one `BatchReport` document that is byte-identical to
- *    the single-process `runBatch` over the unsplit file. Since
- *    the multi-host coordinator landed it is a thin wrapper over
- *    `runCoordinatedBatch` (`engine/shard_coordinator.h`) with a
- *    one-host manifest of K slots, no retries, and no deadline.
+ * `runShardWorker` is one worker's whole job -- load a sub-batch
+ * file, run it on an in-process `AnalysisEngine`, stream its
+ * outcome events, and write the `BatchReport` JSON to disk.
+ * `eco_chip --shard_worker` is a thin wrapper around it. The
+ * scheduler that plans sub-batches, dispatches workers, and
+ * merges their outcomes is `runDynamicCoordinatedBatch`
+ * (`engine/shard_coordinator.h`).
  *
  * Workers run either by fork/exec of a worker executable
- * (`ShardedRunOptions::workerExe`, the CLI path: `eco_chip
+ * (`CoordinatorOptions::workerExe`, the CLI path: `eco_chip
  * --shard` re-execs itself with `--shard_worker`) or, when no
  * executable is named, by plain fork with the worker running
  * `runShardWorker` in the child -- the library/test/bench path,
  * which needs no knowledge of any binary's location. Both paths
- * are POSIX-only; on other platforms `runShardedBatch` throws.
+ * are POSIX-only.
  *
- * Fork-only mode carries the usual POSIX precondition: call it
- * from an effectively single-threaded process (no live
- * `AnalysisEngine`/`ThreadPool` workers). The child starts as a
- * clone of the calling thread only, so a lock held by any other
- * parent thread at fork time -- allocator, iostream -- stays
- * locked forever in the child and deadlocks it. The fork/exec
- * mode has no such restriction.
+ * Fork-only mode carries the usual POSIX precondition: call the
+ * coordinator from an effectively single-threaded process (no
+ * live `AnalysisEngine`/`ThreadPool` workers). The child starts
+ * as a clone of the calling thread only, so a lock held by any
+ * other parent thread at fork time -- allocator, iostream --
+ * stays locked forever in the child and deadlocks it. The
+ * fork/exec mode has no such restriction.
  *
  * Determinism: workers inherit the engine's bit-identity
  * guarantee (any thread count, same results), the planner keeps
@@ -47,11 +40,7 @@
 #ifndef ECOCHIP_ENGINE_SHARD_RUNNER_H
 #define ECOCHIP_ENGINE_SHARD_RUNNER_H
 
-#include <cstddef>
 #include <string>
-#include <vector>
-
-#include "json/json.h"
 
 namespace ecochip {
 
@@ -61,8 +50,8 @@ namespace ecochip {
  * `AnalysisEngine`, and write the `BatchReport` JSON to
  * @p report_path.
  *
- * @param sub_batch_path Sub-batch file (`writeShardFiles` /
- *        `writeChunkFiles` output, or any batch file).
+ * @param sub_batch_path Sub-batch file (`writeChunkFiles`
+ *        output, or any batch file).
  * @param report_path Destination for the `BatchReport` JSON.
  * @param engine_threads Worker threads for this shard's engine
  *        (results are bit-identical at any count).
@@ -71,7 +60,7 @@ namespace ecochip {
  * @param events_path When non-empty, stream one NDJSON event
  *        line per outcome (sub-batch-local `index`, completion
  *        order, flushed per line) to this path while the batch
- *        runs -- what the dynamic coordinator tails for its
+ *        runs -- what the coordinator tails for its
  *        incremental merge (`io/event_journal_io.h`). The final
  *        report is still written; events are a live preview of
  *        it, never a replacement.
@@ -84,86 +73,6 @@ int runShardWorker(const std::string &sub_batch_path,
                    int engine_threads,
                    const std::string &scenarios_path = "",
                    const std::string &events_path = "");
-
-/** How `runShardedBatch` splits and runs a batch. */
-struct ShardedRunOptions
-{
-    /** Batch file to shard. */
-    std::string batchPath;
-
-    /** Worker process count requested (>= 1; capped at the
-     *  number of distinct scenario bindings). */
-    int shards = 2;
-
-    /**
-     * Engine threads per worker process. 0 (the default) sizes
-     * automatically: hardware threads divided by the shard count
-     * actually planned, at least 1.
-     */
-    int engineThreadsPerWorker = 0;
-
-    /**
-     * Directory for sub-batch and report files. Empty: a
-     * pid-scoped directory under the system temp path, removed
-     * after the run. Non-empty: created if needed and left in
-     * place.
-     */
-    std::string shardDir;
-
-    /**
-     * Worker executable. Empty: fork and run `runShardWorker`
-     * in the child. Non-empty: fork/exec
-     * `<workerExe> --shard_worker <sub-batch> --json <report>
-     *  --engine_threads <N> [--scenarios <path>]`.
-     */
-    std::string workerExe;
-
-    /** Extra scenario catalog passed through to every worker. */
-    std::string scenariosPath;
-};
-
-/** What a sharded run produced. */
-struct ShardedRunResult
-{
-    /** Merged `BatchReport` document, original request order. */
-    json::Value mergedReport;
-
-    /** The same report as canonical compact text -- exactly
-     *  `mergedReport.dump(false)`, produced without a DOM. */
-    std::string mergedReportText;
-
-    /** Shards actually run (<= requested). */
-    std::size_t shardsUsed = 0;
-
-    /** Engine threads each worker ran with. */
-    int threadsPerWorker = 0;
-
-    /** Requests that succeeded / failed across all shards. */
-    std::size_t succeeded = 0;
-    std::size_t failed = 0;
-
-    /** Sub-batch files, in shard order (empty when the scratch
-     *  directory was temporary and has been removed). */
-    std::vector<std::string> shardFiles;
-
-    /** Per-shard report files (ditto). */
-    std::vector<std::string> reportFiles;
-
-    /** True when every request of every shard succeeded. */
-    bool allOk() const { return failed == 0; }
-};
-
-/**
- * Shard @p options.batchPath across worker processes and merge
- * the results.
- *
- * @throws ConfigError on invalid options or malformed files.
- * @throws Error when a worker process dies without writing a
- *         valid report (crash, signal, exec failure) -- a worker
- *         that merely had failing requests exits 1 and is
- *         reported through the merged outcomes instead.
- */
-ShardedRunResult runShardedBatch(const ShardedRunOptions &options);
 
 } // namespace ecochip
 

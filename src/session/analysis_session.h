@@ -10,16 +10,16 @@
  * `engine/AnalysisEngine` (`submit()` futures, completion-order
  * `runStream()` callbacks, or aggregate `runBatch()`), which
  * deduplicates scenario contexts across requests. Whole batches
- * scale past one process through the shard planner/runner
- * (`engine/shard_planner.h`, `engine/shard_runner.h`): sub-batch
- * files per worker process, reports merged byte-identical to the
- * single-process run. The session remains the right tool for
- * interactive, one-at-a-time use; its verbs are thin adapters
- * that build the equivalent request spec and run it inline
- * through the same `runSpec` executor the engine schedules, so
- * every path returns bit-identical results. The layering and
- * cache-ownership story is documented in `docs/architecture.md`;
- * wire formats in `docs/file_formats.md`.
+ * scale past one process through the coordinator
+ * (`engine/shard_coordinator.h`, `engine/shard_runner.h`):
+ * sub-batch files per worker process, outcomes merged
+ * byte-identical to the single-process run. The session remains
+ * the right tool for interactive, one-at-a-time use; its verbs
+ * are thin adapters that build the equivalent request spec and
+ * run it inline through the same `runSpec` executor the engine
+ * schedules, so every path returns bit-identical results. The
+ * layering and cache-ownership story is documented in
+ * `docs/architecture.md`; wire formats in `docs/file_formats.md`.
  *
  * The paper's workflow is always the same shape -- load a design,
  * bind it to a technology database, then run one of several

@@ -3,9 +3,9 @@
  * Tests for the declarative request API and the async batch
  * engine: JSON round-trips, batch-vs-session bit-equality at any
  * thread count, per-request failure isolation, scenario catalog
- * loading, completion-order streaming, and multi-process
- * sharding (merged shard reports byte-identical to the
- * single-process run).
+ * loading, completion-order streaming, and the coordinator
+ * behind --shard and --coordinate (merged reports byte-identical
+ * to the single-process run under faults, retries, and resume).
  */
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 
 #include "engine/analysis_engine.h"
 #include "engine/shard_coordinator.h"
-#include "engine/shard_planner.h"
 #include "engine/shard_runner.h"
 #include "engine/thread_pool.h"
 #include "engine/work_queue.h"
@@ -29,7 +28,9 @@
 #include "io/event_journal_io.h"
 #include "io/request_io.h"
 #include "io/result_writer.h"
+#include "json/ondemand.h"
 #include "support/error.h"
+#include "support/test_transport.h"
 
 #ifndef ECOCHIP_DATA_DIR
 #define ECOCHIP_DATA_DIR ""
@@ -645,86 +646,6 @@ TEST(Stream, NdjsonEventsRoundTripThroughRequestIo)
     EXPECT_EQ(indices.size(), requests.size());
 }
 
-// ------------------------------------------------ shard planning
-
-TEST(ShardPlanner, KeepsBindingsTogetherAndDealsRoundRobin)
-{
-    // Bindings A B C A B A: groups appear in order A, B, C.
-    std::vector<AnalysisRequest> requests = {
-        {ScenarioRef::scenario("ga102"), EstimateSpec{}},
-        {ScenarioRef::scenario("emr"), EstimateSpec{}},
-        {ScenarioRef::scenario("a15"), EstimateSpec{}},
-        {ScenarioRef::scenario("ga102"), CostSpec{}},
-        {ScenarioRef::scenario("emr"), CostSpec{}},
-        {ScenarioRef::scenario("ga102"), SensitivitySpec{}},
-    };
-
-    const ShardPlan plan = planShards(requests, 2);
-    ASSERT_EQ(plan.shardCount(), 2u);
-    EXPECT_EQ(plan.requestCount(), requests.size());
-    // Round-robin by group: shard 0 gets ga102 + a15, shard 1
-    // gets emr; indices ascend within each shard.
-    EXPECT_EQ(plan.shards[0],
-              (std::vector<std::size_t>{0, 2, 3, 5}));
-    EXPECT_EQ(plan.shards[1],
-              (std::vector<std::size_t>{1, 4}));
-
-    // A binding never straddles shards, at any shard count.
-    for (int shards : {1, 2, 3, 4, 8}) {
-        const ShardPlan p = planShards(requests, shards);
-        EXPECT_LE(p.shardCount(),
-                  static_cast<std::size_t>(3));
-        EXPECT_EQ(p.requestCount(), requests.size());
-        std::map<std::string, std::size_t> home;
-        std::set<std::size_t> all;
-        for (std::size_t s = 0; s < p.shardCount(); ++s) {
-            EXPECT_FALSE(p.shards[s].empty());
-            for (std::size_t index : p.shards[s]) {
-                all.insert(index);
-                const std::string key =
-                    requests[index].scenario.label();
-                const auto it = home.find(key);
-                if (it == home.end()) {
-                    home.emplace(key, s);
-                } else {
-                    EXPECT_EQ(it->second, s) << key;
-                }
-            }
-        }
-        EXPECT_EQ(all.size(), requests.size());
-    }
-
-    EXPECT_THROW(planShards({}, 2), ConfigError);
-    EXPECT_THROW(planShards(requests, 0), ConfigError);
-}
-
-TEST(ShardPlanner, MergeRejectsMalformedShardReports)
-{
-    const std::vector<AnalysisRequest> requests = {
-        {ScenarioRef::scenario("ga102"), EstimateSpec{}},
-        {ScenarioRef::scenario("emr"), EstimateSpec{}},
-    };
-    const ShardPlan plan = planShards(requests, 2);
-
-    // Wrong report count.
-    EXPECT_THROW(mergeShardReports(plan, {}), ConfigError);
-
-    // Not a BatchReport document.
-    EXPECT_THROW(
-        mergeShardReports(
-            plan, {json::parse("[]"), json::parse("{}")}),
-        ConfigError);
-
-    // Outcome count disagrees with the plan.
-    const json::Value one_outcome = json::parse(
-        R"({"outcomes": [{"ok": true}]})");
-    EXPECT_THROW(
-        mergeShardReports(
-            plan,
-            {json::parse(R"({"outcomes": []})"), one_outcome}),
-        ConfigError);
-}
-
 // ------------------------------------------------ sharded runs
 
 /** data/requests path of the shipped tree. */
@@ -736,10 +657,40 @@ shippedBatchPath()
         .string();
 }
 
+/** A coordinated run's merged report, pretty-printed like
+ *  `batchReportToJson(...).dump(true)`. */
+std::string
+prettyReport(const CoordinatedRunResult &result)
+{
+    return json::ondemand::reserialize(result.mergedReportText,
+                                       true);
+}
+
+/** The outcome documents of a coordinated run's merged report. */
+std::vector<json::Value>
+mergedOutcomes(const CoordinatedRunResult &result)
+{
+    return json::parse(result.mergedReportText)
+        .at("outcomes")
+        .asArray();
+}
+
+/** What `eco_chip --shard F --shards K` runs: one local host
+ *  with K slots, no retries, no deadline. */
+CoordinatorOptions
+shardOptions(const std::string &batch_path, int shards)
+{
+    CoordinatorOptions options;
+    options.batchPath = batch_path;
+    options.hosts.hosts.push_back({"localhost", shards, ""});
+    options.retries = 0;
+    return options;
+}
+
 TEST(ShardRunner, MergedShardReportsAreByteIdenticalToOneProcess)
 {
-    // The acceptance gate: the shipped 13-request batch run as
-    // 1/2/4 worker processes merges to the byte-identical
+    // The acceptance gate: the shipped 13-request batch run over
+    // 1/2/4 local worker slots merges to the byte-identical
     // BatchReport JSON of the single-process runBatch.
     const BatchFile batch = loadBatchFile(shippedBatchPath());
 
@@ -754,18 +705,16 @@ TEST(ShardRunner, MergedShardReportsAreByteIdenticalToOneProcess)
     }
 
     for (int shards : {1, 2, 4}) {
-        ShardedRunOptions options;
-        options.batchPath = shippedBatchPath();
-        options.shards = shards;
+        CoordinatorOptions options =
+            shardOptions(shippedBatchPath(), shards);
         options.engineThreadsPerWorker = 2;
         // No workerExe: fork-without-exec library mode.
-        const ShardedRunResult result =
-            runShardedBatch(options);
-        EXPECT_EQ(result.shardsUsed,
-                  static_cast<std::size_t>(
-                      std::min(shards, 9))); // 9 bindings
+        const CoordinatedRunResult result =
+            runDynamicCoordinatedBatch(options);
         EXPECT_TRUE(result.allOk());
-        EXPECT_EQ(result.mergedReport.dump(true), single)
+        EXPECT_EQ(result.redispatches, 0u);
+        EXPECT_EQ(result.attempts.size(), result.chunksPlanned);
+        EXPECT_EQ(prettyReport(result), single)
             << shards << " shards";
     }
 }
@@ -793,18 +742,16 @@ TEST(ShardRunner, FailedRequestsSurviveTheShardCut)
     doc.set("requests", requestsToJson(requests));
     json::writeFile(doc, batch_path);
 
-    ShardedRunOptions options;
-    options.batchPath = batch_path;
-    options.shards = 3;
+    CoordinatorOptions options = shardOptions(batch_path, 3);
     options.shardDir = (dir / "shards").string();
-    const ShardedRunResult result = runShardedBatch(options);
+    const CoordinatedRunResult result =
+        runDynamicCoordinatedBatch(options);
 
-    EXPECT_EQ(result.shardsUsed, 3u);
+    EXPECT_EQ(result.chunksPlanned, 3u);
     EXPECT_EQ(result.succeeded, 2u);
     EXPECT_EQ(result.failed, 1u);
     EXPECT_FALSE(result.allOk());
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
+    const auto outcomes = mergedOutcomes(result);
     ASSERT_EQ(outcomes.size(), 3u);
     EXPECT_TRUE(outcomes[0].at("ok").asBoolean());
     EXPECT_FALSE(outcomes[1].at("ok").asBoolean());
@@ -827,7 +774,7 @@ TEST(ShardRunner, RelativeCatalogPathsSurviveTheShardCut)
     // "scenarios" catalog is batch-relative used to break under
     // sharding -- the sub-batch files live in another directory,
     // so the stored catalog path resolved against the wrong
-    // base. writeShardFiles must pin it to an absolute path.
+    // base. writeChunkFiles must pin it to an absolute path.
     const auto dir =
         std::filesystem::path(::testing::TempDir()) /
         "ecochip_shard_rel_catalog";
@@ -856,13 +803,12 @@ TEST(ShardRunner, RelativeCatalogPathsSurviveTheShardCut)
     ASSERT_FALSE(
         std::filesystem::path(relative_batch).is_absolute());
 
-    ShardedRunOptions options;
-    options.batchPath = relative_batch;
-    options.shards = 2;
+    CoordinatorOptions options = shardOptions(relative_batch, 2);
     options.shardDir = (dir / "shards").string();
-    const ShardedRunResult result = runShardedBatch(options);
-    EXPECT_EQ(result.shardsUsed, 2u);
-    EXPECT_TRUE(result.allOk()) << result.mergedReport.dump();
+    const CoordinatedRunResult result =
+        runDynamicCoordinatedBatch(options);
+    EXPECT_EQ(result.chunksPlanned, 2u);
+    EXPECT_TRUE(result.allOk()) << result.mergedReportText;
 
     std::filesystem::remove_all(dir);
 }
@@ -879,10 +825,11 @@ TEST(ShardRunner, WorkerRoundTripsItsSubBatchThroughRequestIo)
     std::filesystem::create_directories(dir);
 
     const BatchFile batch = loadBatchFile(shippedBatchPath());
-    const ShardPlan plan = planShards(batch.requests, 4);
+    const ChunkPlan plan = planChunks(batch.requests, 4);
     const auto files =
-        writeShardFiles(batch, plan, dir.string());
-    ASSERT_EQ(files.size(), 4u);
+        writeChunkFiles(batch, plan, dir.string());
+    ASSERT_EQ(files.size(), plan.chunkCount());
+    ASSERT_GE(files.size(), 2u);
 
     const std::string report_path =
         (dir / "report.json").string();
@@ -892,12 +839,12 @@ TEST(ShardRunner, WorkerRoundTripsItsSubBatchThroughRequestIo)
 
     const json::Value report = json::parseFile(report_path);
     const auto &outcomes = report.at("outcomes").asArray();
-    ASSERT_EQ(outcomes.size(), plan.shards[0].size());
+    ASSERT_EQ(outcomes.size(), plan.chunks[0].size());
     for (std::size_t j = 0; j < outcomes.size(); ++j) {
         const AnalysisRequest request = requestFromJson(
             outcomes[j].at("request"));
         EXPECT_TRUE(request ==
-                    batch.requests[plan.shards[0][j]]);
+                    batch.requests[plan.chunks[0][j]]);
     }
 
     std::filesystem::remove_all(dir);
@@ -931,6 +878,17 @@ testTransportOptions(const std::string &batch_path,
     return options;
 }
 
+/** Dispatches of @p chunk in @p transport's history. */
+std::vector<ShardDispatch>
+dispatchesOf(const TestTransport &transport, std::size_t chunk)
+{
+    std::vector<ShardDispatch> dispatches;
+    for (const auto &dispatch : transport.history())
+        if (dispatch.shard == chunk)
+            dispatches.push_back(dispatch);
+    return dispatches;
+}
+
 TEST(Coordinator, MergedReportByteIdenticalAtOneTwoFourHosts)
 {
     // The acceptance gate: the shipped 13-request batch
@@ -956,20 +914,18 @@ TEST(Coordinator, MergedReportByteIdenticalAtOneTwoFourHosts)
         options.engineThreadsPerWorker = 2;
         // No workerExe: fork-without-exec library mode.
         const CoordinatedRunResult result =
-            runCoordinatedBatch(options);
-        EXPECT_EQ(result.shardsUsed,
-                  std::min<std::size_t>(hosts, 9)); // 9 bindings
+            runDynamicCoordinatedBatch(options);
         EXPECT_TRUE(result.allOk());
         EXPECT_EQ(result.redispatches, 0u);
-        EXPECT_EQ(result.attempts.size(), result.shardsUsed);
-        EXPECT_EQ(result.mergedReport.dump(true), single)
+        EXPECT_EQ(result.attempts.size(), result.chunksPlanned);
+        EXPECT_EQ(prettyReport(result), single)
             << hosts << " hosts";
     }
 }
 
 TEST(Coordinator, RetriesFailedShardOnAnotherHost)
 {
-    // Shard 0's first dispatch dies without a report: the
+    // Chunk 0's first dispatch dies without a report: the
     // coordinator must retry it on a *different* host and the
     // merged report must still be byte-identical to the
     // single-process run.
@@ -989,28 +945,22 @@ TEST(Coordinator, RetriesFailedShardOnAnotherHost)
     options.retries = 2;
 
     const CoordinatedRunResult result =
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
     EXPECT_TRUE(result.allOk());
     EXPECT_EQ(result.redispatches, 1u);
-    EXPECT_EQ(result.mergedReport.dump(true), single);
+    EXPECT_EQ(prettyReport(result), single);
 
-    // Dispatch history: shard 0 ran twice, on distinct hosts,
+    // Dispatch history: chunk 0 ran twice, on distinct hosts,
     // and the retry wrote to a fresh per-attempt report path
     // (so an orphaned first attempt can never race it).
-    std::vector<std::string> shard0_hosts;
-    std::vector<std::string> shard0_reports;
-    for (const auto &dispatch : transport->history())
-        if (dispatch.shard == 0) {
-            shard0_hosts.push_back(dispatch.host);
-            shard0_reports.push_back(dispatch.reportPath);
-        }
-    ASSERT_EQ(shard0_hosts.size(), 2u);
-    EXPECT_NE(shard0_hosts[0], shard0_hosts[1]);
-    ASSERT_EQ(shard0_reports.size(), 2u);
-    EXPECT_NE(shard0_reports[0], shard0_reports[1]);
-    EXPECT_NE(shard0_reports[1].find(".retry1"),
+    const auto chunk0 = dispatchesOf(*transport, 0);
+    ASSERT_EQ(chunk0.size(), 2u);
+    EXPECT_NE(chunk0[0].host, chunk0[1].host);
+    EXPECT_NE(chunk0[0].reportPath, chunk0[1].reportPath);
+    EXPECT_NE(chunk0[1].reportPath.find(".retry1"),
               std::string::npos)
-        << shard0_reports[1];
+        << chunk0[1].reportPath;
+    EXPECT_NE(chunk0[0].eventsPath, chunk0[1].eventsPath);
 
     // The attempt record mirrors it: one failure, then ok.
     std::size_t failed_attempts = 0;
@@ -1022,7 +972,7 @@ TEST(Coordinator, RetriesFailedShardOnAnotherHost)
 
 TEST(Coordinator, StragglerIsCancelledAndRedispatched)
 {
-    // Shard 0's first dispatch hangs: the deadline must cancel
+    // Chunk 0's first dispatch hangs: the deadline must cancel
     // it, re-dispatch (on the other host), and the merged
     // report must still be byte-identical.
     const BatchFile batch = loadBatchFile(shippedBatchPath());
@@ -1042,11 +992,11 @@ TEST(Coordinator, StragglerIsCancelledAndRedispatched)
     options.shardTimeoutSeconds = 0.05;
 
     const CoordinatedRunResult result =
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
     EXPECT_TRUE(result.allOk());
     EXPECT_EQ(transport->cancelled(), 1u);
     EXPECT_EQ(result.redispatches, 1u);
-    EXPECT_EQ(result.mergedReport.dump(true), single);
+    EXPECT_EQ(prettyReport(result), single);
 
     bool deadline_recorded = false;
     for (const auto &attempt : result.attempts)
@@ -1069,14 +1019,10 @@ TEST(Coordinator, SingleHostRetriesInPlace)
     options.retries = 1;
 
     const CoordinatedRunResult result =
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
     EXPECT_TRUE(result.allOk());
     EXPECT_EQ(result.redispatches, 1u);
-    std::size_t shard0_dispatches = 0;
-    for (const auto &dispatch : transport->history())
-        if (dispatch.shard == 0)
-            ++shard0_dispatches;
-    EXPECT_EQ(shard0_dispatches, 2u);
+    EXPECT_EQ(dispatchesOf(*transport, 0).size(), 2u);
 }
 
 TEST(Coordinator, ThrowsOnceRetriesAreExhausted)
@@ -1088,7 +1034,7 @@ TEST(Coordinator, ThrowsOnceRetriesAreExhausted)
     options.retries = 1;
 
     try {
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
         FAIL() << "expected Error";
     } catch (const Error &e) {
         const std::string what = e.what();
@@ -1096,12 +1042,8 @@ TEST(Coordinator, ThrowsOnceRetriesAreExhausted)
                   std::string::npos)
             << what;
     }
-    // retries=1 allows 2 attempts of shard 0.
-    std::size_t shard0_dispatches = 0;
-    for (const auto &dispatch : transport->history())
-        if (dispatch.shard == 0)
-            ++shard0_dispatches;
-    EXPECT_EQ(shard0_dispatches, 2u);
+    // retries=1 allows 2 attempts of chunk 0.
+    EXPECT_EQ(dispatchesOf(*transport, 0).size(), 2u);
 }
 
 TEST(Coordinator, RequestLevelFailuresAreDataNotRetries)
@@ -1131,15 +1073,15 @@ TEST(Coordinator, RequestLevelFailuresAreDataNotRetries)
         testTransportOptions(batch_path, 3, transport);
     options.shardDir = (dir / "shards").string();
     const CoordinatedRunResult result =
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
 
-    EXPECT_EQ(result.shardsUsed, 3u);
+    EXPECT_EQ(result.chunksPlanned, 3u);
+    EXPECT_EQ(transport->history().size(), 3u);
     EXPECT_EQ(result.succeeded, 2u);
     EXPECT_EQ(result.failed, 1u);
     EXPECT_EQ(result.redispatches, 0u);
     EXPECT_FALSE(result.allOk());
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
+    const auto outcomes = mergedOutcomes(result);
     ASSERT_EQ(outcomes.size(), 3u);
     EXPECT_FALSE(outcomes[1].at("ok").asBoolean());
 
@@ -1280,9 +1222,11 @@ TEST(WorkQueue, IncrementalMergerIsPermutationInvariant)
     const std::string expected =
         batchReportToJson(report).dump(true);
 
-    std::vector<json::Value> outcomes;
+    // Canonical compact outcome text -- what workers stream and
+    // the coordinator merges.
+    std::vector<std::string> outcomes;
     for (const auto &outcome : report.outcomes)
-        outcomes.push_back(outcomeToJson(outcome));
+        outcomes.push_back(outcomeToJson(outcome).dump(false));
 
     std::vector<std::size_t> order(outcomes.size());
     for (std::size_t i = 0; i < order.size(); ++i)
@@ -1298,7 +1242,7 @@ TEST(WorkQueue, IncrementalMergerIsPermutationInvariant)
                 << "duplicate delivery must be dropped";
         }
         EXPECT_TRUE(merger.complete());
-        EXPECT_EQ(merger.report().dump(true), expected)
+        EXPECT_EQ(merger.reportText(true), expected)
             << "round " << round;
     }
 
@@ -1312,7 +1256,7 @@ TEST(WorkQueue, IncrementalMergerIsPermutationInvariant)
     EXPECT_EQ(missing.size(), outcomes.size() - 2);
     EXPECT_EQ(std::count(missing.begin(), missing.end(), 2u),
               0);
-    EXPECT_THROW(partial.report(), ModelError);
+    EXPECT_THROW(partial.reportText(true), ModelError);
 }
 
 // ------------------------------------------------ dynamic coordinator
@@ -1425,7 +1369,7 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
                 EXPECT_EQ(result.resumedOutcomes,
                           resume ? 5u : 0u)
                     << cell;
-                EXPECT_EQ(result.mergedReport.dump(true),
+                EXPECT_EQ(prettyReport(result),
                           single)
                     << cell;
                 // The journal now holds every outcome, so a
@@ -1448,7 +1392,7 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
                           batch.requests.size())
                     << cell;
                 EXPECT_EQ(replayed.chunksPlanned, 0u) << cell;
-                EXPECT_EQ(replayed.mergedReport.dump(true),
+                EXPECT_EQ(prettyReport(replayed),
                           single)
                     << cell;
             }
@@ -1519,9 +1463,8 @@ TEST(DynamicCoordinator, StaleJournalIsUnlinkedOnFreshRun)
 {
     // A reused --shard_dir with a stale (even corrupt) journal
     // must not poison a fresh run -- the same hygiene as stale
-    // shard reports. Regression: the static scheduler must scrub
-    // it too, so a later --resume cannot replay outcomes of a
-    // long-gone batch.
+    // shard reports -- so a later --resume cannot replay
+    // outcomes of a long-gone batch.
     const auto dir =
         std::filesystem::path(::testing::TempDir()) /
         "ecochip_stale_journal";
@@ -1549,21 +1492,11 @@ TEST(DynamicCoordinator, StaleJournalIsUnlinkedOnFreshRun)
     options.shardDir = dir.string();
     const CoordinatedRunResult result =
         runDynamicCoordinatedBatch(options);
-    EXPECT_EQ(result.mergedReport.dump(true), single);
+    EXPECT_EQ(prettyReport(result), single);
     // The journal was rewritten from scratch: it now replays
     // cleanly and covers the whole batch.
     EXPECT_EQ(replayEventJournal(journal_path.string()).size(),
               batch.requests.size());
-
-    // The static scheduler scrubs it the same way.
-    {
-        std::ofstream stale(journal_path.string());
-        stale << "this is not even json\n";
-    }
-    const CoordinatedRunResult static_result =
-        runCoordinatedBatch(options);
-    EXPECT_EQ(static_result.mergedReport.dump(true), single);
-    EXPECT_FALSE(std::filesystem::exists(journal_path));
 
     std::filesystem::remove_all(dir);
 }
@@ -1663,8 +1596,7 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
     EXPECT_EQ(result.chunksPlanned, 4u);
     EXPECT_LT(transport->history().size(), 4u)
         << "abort must leave chunks undispatched";
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
+    const auto outcomes = mergedOutcomes(result);
     ASSERT_EQ(outcomes.size(), 4u);
     EXPECT_FALSE(outcomes[0].at("ok").asBoolean());
     std::size_t aborted_outcomes = 0;
@@ -1690,7 +1622,7 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
     const CoordinatedRunResult finished =
         runDynamicCoordinatedBatch(finish);
     EXPECT_FALSE(finished.aborted);
-    EXPECT_EQ(finished.mergedReport.dump(true), single);
+    EXPECT_EQ(prettyReport(finished), single);
 
     std::filesystem::remove_all(dir);
 }

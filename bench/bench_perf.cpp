@@ -779,6 +779,42 @@ BENCHMARK(BM_JsonSerializeReportWire)
     ->Unit(benchmark::kMillisecond);
 
 void
+collectNumbers(const json::Value &value, std::vector<double> &out)
+{
+    if (value.isNumber())
+        out.push_back(value.asNumber());
+    else if (value.isArray())
+        for (const json::Value &element : value.asArray())
+            collectNumbers(element, out);
+    else if (value.isObject())
+        for (const json::Member &member : value.members())
+            collectNumbers(member.second, out);
+}
+
+void
+BM_JsonFormatNumber(benchmark::State &state)
+{
+    // The report's number spelling alone, into one reused buffer:
+    // the share of JsonSerializeReport10kWire spent on numbers.
+    std::vector<double> numbers;
+    collectNumbers(json::parse(wireBenchText()), numbers);
+    std::string out;
+    for (auto _ : state) {
+        out.clear();
+        for (double n : numbers)
+            json::appendNumber(out, n);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(numbers.size()));
+}
+BENCHMARK(BM_JsonFormatNumber)
+    ->Name("JsonFormatNumber")
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_JsonParseReportDom(benchmark::State &state)
 {
     // Baseline: full DOM parse of the report, the way the merge

@@ -149,8 +149,8 @@ AnalysisEngine::runStream(
         return;
 
     // Shared by every task; runStream outlives them all (it
-    // blocks on `remaining`), so the callback reference stays
-    // valid for the tasks' whole lifetime.
+    // blocks on `remaining`), so the callback and request
+    // references stay valid for the tasks' whole lifetime.
     struct StreamState
     {
         std::mutex mutex;
@@ -161,14 +161,14 @@ AnalysisEngine::runStream(
     state->remaining = requests.size();
 
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        pool_.post([this, state, &on_complete, i,
-                    request = requests[i]] {
+        pool_.post([this, state, &on_complete, &requests, i] {
             RequestOutcome outcome;
-            outcome.request = request;
+            outcome.request = requests[i];
             try {
                 const AnalysisSession session =
-                    sessionFor(request.scenario);
-                outcome.result = runSpec(session, request.spec);
+                    sessionFor(outcome.request.scenario);
+                outcome.result =
+                    runSpec(session, outcome.request.spec);
             } catch (const std::exception &e) {
                 outcome.error = e.what();
             } catch (...) {
@@ -178,7 +178,7 @@ AnalysisEngine::runStream(
             // and the decrement happens only after the callback
             // returned, so runStream cannot unblock mid-delivery.
             std::lock_guard<std::mutex> lock(state->mutex);
-            on_complete(i, outcome);
+            on_complete(i, std::move(outcome));
             if (--state->remaining == 0)
                 state->drained.notify_all();
         });
@@ -197,8 +197,8 @@ AnalysisEngine::runBatch(
     report.outcomes.resize(requests.size());
     runStream(requests,
               [&report](std::size_t index,
-                        const RequestOutcome &outcome) {
-                  report.outcomes[index] = outcome;
+                        RequestOutcome &&outcome) {
+                  report.outcomes[index] = std::move(outcome);
               });
     return report;
 }

@@ -123,15 +123,16 @@ struct BatchReport
 
 /**
  * Completion-order delivery of one finished request: the
- * request's index in the submitted batch plus its outcome.
- * Invocations are serialized (never concurrent), so callbacks may
- * write to shared state -- a stream, a vector slot -- without
- * locking. A callback must not throw and must not re-enter the
- * engine it was called from.
+ * request's index in the submitted batch plus its outcome, which
+ * the callback may move from (a `const RequestOutcome &` parameter
+ * binds too). Invocations are serialized (never concurrent), so
+ * callbacks may write to shared state -- a stream, a vector slot
+ * -- without locking. A callback must not throw and must not
+ * re-enter the engine it was called from.
  */
 using StreamCallback =
     std::function<void(std::size_t index,
-                       const RequestOutcome &outcome)>;
+                       RequestOutcome &&outcome)>;
 
 /**
  * Thread-pooled analysis scheduler with scenario-context

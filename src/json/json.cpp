@@ -258,28 +258,31 @@ escapeStringTo(std::string &out, std::string_view s)
     out += '"';
 }
 
-std::string
-formatNumber(double n)
+void
+appendNumber(std::string &out, double n)
 {
-    if (n == std::floor(n) && std::abs(n) < 1e15) {
-        // Integral: print without fraction. Covers -0.0 too,
-        // which %.0f spells "-0" and strtod reads back as -0.0.
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", n);
-        return buf;
+    char buf[48]; // the longest %.17g spelling takes 24
+    char *const last = buf + sizeof(buf);
+    if (std::abs(n) < 1e15 &&
+        n == static_cast<double>(static_cast<long long>(n))) {
+        // Integral: the %.0f spelling, no fraction. -0.0 keeps
+        // its sign ("-0"), which reads back as -0.0.
+        char *first = buf;
+        if (n == 0.0 && std::signbit(n))
+            *first++ = '-';
+        out.append(buf, std::to_chars(first, last,
+                                      static_cast<long long>(n))
+                            .ptr);
+        return;
     }
-    // Shortest round-trip: the spelling is the first precision in
-    // {15, 16, 17} whose %g output reads back exactly. Probing
-    // all three costs a snprintf+strtod per step, so let
-    // std::to_chars (shortest-round-trip by construction) reveal
-    // how many significant digits the value needs and emit once.
-    char shortest[40];
-    const auto conv = std::to_chars(
-        shortest, shortest + sizeof(shortest), n);
+    // The digit count of the shortest round-trip spelling picks
+    // the %g precision, so one formatting step usually suffices.
+    // Exponent digits count too: the written bytes depend on it.
+    const char *const shortest_end = std::to_chars(buf, last, n).ptr;
     int digits = 0;
     bool seen_nonzero = false;
     bool positional = true; // no '.'/exponent: integer spelling
-    for (const char *p = shortest; p != conv.ptr; ++p) {
+    for (const char *p = buf; p != shortest_end; ++p) {
         if (*p == 'e' || *p == '.') {
             positional = false;
             continue;
@@ -292,33 +295,53 @@ formatNumber(double n)
         ++digits;
     }
     if (positional) // trailing zeros of an integer are positional
-        for (const char *p = conv.ptr - 1;
-             p != shortest && *p == '0'; --p)
+        for (const char *p = shortest_end - 1;
+             p != buf && *p == '0'; --p)
             --digits;
-    const int precision = std::clamp(digits, 15, 17);
 
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, n);
-    if (std::strtod(buf, nullptr) == n)
-        return buf;
-    // Unreachable in principle; keep the probing loop as the
-    // safety net so a platform quirk degrades to slow, not wrong.
-    for (int p = 15; p <= 17; ++p) {
-        std::snprintf(buf, sizeof(buf), "%.*g", p, n);
-        if (std::strtod(buf, nullptr) == n)
-            break;
-    }
-    return buf;
+    const auto spell = [&](int precision) {
+        return std::to_chars(buf, last, n,
+                             std::chars_format::general, precision)
+            .ptr;
+    };
+    const auto reads_back = [&](const char *end) {
+        double back = 0.0;
+        return std::from_chars(buf, end, back).ec == std::errc() &&
+               back == n;
+    };
+    char *end = spell(std::clamp(digits, 15, 17));
+    // At a power of two the correctly rounded 16-digit spelling
+    // can fail to read back: take the first of 15, 16, 17 digits
+    // that does (17 always does when finite).
+    for (int p = 15; p <= 17 && !reads_back(end); ++p)
+        end = spell(p);
+    out.append(buf, end);
+}
+
+std::string
+formatNumber(double n)
+{
+    std::string out;
+    appendNumber(out, n);
+    return out;
 }
 
 double
 numberFromToken(std::string_view token, bool *out_of_range)
 {
-    // strtod needs NUL termination; tokens are short except in
-    // adversarial input, where the copy is the least of it.
+    double value = 0.0;
+    const char *const last = token.data() + token.size();
+    const auto parsed = std::from_chars(token.data(), last, value);
+    if (parsed.ec == std::errc() && parsed.ptr == last) {
+        if (out_of_range)
+            *out_of_range = false;
+        return value;
+    }
+    // Overflow and underflow (zero or denormal results) keep
+    // strtod's semantics; strtod needs NUL termination.
     const std::string buf(token);
     errno = 0;
-    const double value = std::strtod(buf.c_str(), nullptr);
+    value = std::strtod(buf.c_str(), nullptr);
     if (out_of_range)
         *out_of_range = errno == ERANGE &&
                         (value == HUGE_VAL || value == -HUGE_VAL);
@@ -343,7 +366,7 @@ Value::dumpTo(std::string &out, bool pretty, int depth) const
         out += boolean_ ? "true" : "false";
         break;
       case Type::Number:
-        out += formatNumber(number_);
+        appendNumber(out, number_);
         break;
       case Type::String:
         escapeStringTo(out, string_);

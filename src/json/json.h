@@ -184,14 +184,29 @@ class Value
 };
 
 /**
- * Format a double exactly as the serializer prints JSON numbers:
- * no fraction for integral values below 1e15, otherwise the
- * shortest `%g` spelling (15, 16, or 17 significant digits) that
- * parses back to the identical bits. The canonical number
- * spelling shared by derived scenario names
- * (`search/scenario_space.h`), serialized documents, and the
- * streaming writer (`json/stream_writer.h`).
+ * Append the JSON spelling of @p n to @p out: no fraction for
+ * integral values below 1e15 (`-0.0` is "-0"), otherwise the `%g`
+ * spelling at 15, 16, or 17 significant digits that parses back
+ * to the identical bits. The canonical number spelling shared by
+ * serialized documents, the streaming writer
+ * (`json/stream_writer.h`) and derived scenario names
+ * (`search/scenario_space.h`).
+ *
+ * Formats with `std::to_chars` into a stack buffer, allocating
+ * nothing besides @p out's growth. The precision is the digit
+ * count of the shortest round-trip spelling clamped to [15, 17].
+ * That count includes exponent digits, so a value whose shortest
+ * spelling has an exponent usually gets 17 digits even when 15 or
+ * 16 would read back. One `%.*g`-equivalent `to_chars` call writes
+ * the text, and `std::from_chars` checks that it reads back; if
+ * not, the first of 15, 16, 17 digits that does is used. The bytes
+ * must stay identical to the printf-based spelling that files
+ * already written carry (locked by
+ * `JsonNumbers.SpellingMatchesLegacyPrintf`).
  */
+void appendNumber(std::string &out, double n);
+
+/** `appendNumber` into a fresh string. */
 std::string formatNumber(double n);
 
 /**
@@ -206,10 +221,12 @@ void escapeStringTo(std::string &out, std::string_view s);
  * Decode a lexically valid JSON number token to a double.
  *
  * Shared by the DOM parser and the on-demand scanner so both
- * agree bit-for-bit on every input. Underflow quietly returns the
- * nearest representable value (a denormal or zero); overflow sets
- * @p out_of_range (when non-null) and the caller reports it with
- * its own position context.
+ * agree bit-for-bit on every input. Parses the view in place with
+ * `std::from_chars`; tokens it reports out of range go through
+ * `strtod`, so underflow quietly returns the nearest representable
+ * value (a denormal or zero) and overflow sets @p out_of_range
+ * (when non-null) for the caller to report with its own position
+ * context.
  */
 double numberFromToken(std::string_view token,
                        bool *out_of_range = nullptr);

@@ -125,7 +125,7 @@ void
 StreamWriter::number(double n)
 {
     elementPrefix();
-    out_ += formatNumber(n);
+    appendNumber(out_, n);
 }
 
 void

@@ -7,7 +7,7 @@
  * tree -- the output side of the fast wire path (the input side
  * is `json/ondemand.h`). Its output is byte-identical to
  * `Value::dump(pretty)` of the equivalent DOM: the same escaping
- * (`escapeStringTo`), the same number spelling (`formatNumber`),
+ * (`escapeStringTo`), the same number spelling (`appendNumber`),
  * the same 4-space pretty layout with `[]`/`{}` for empty
  * containers and `": "` after keys. The wire-path contract in
  * docs/file_formats.md rests on that identity; `appendValue` plus

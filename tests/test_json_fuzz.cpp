@@ -14,14 +14,21 @@
  *    streaming writer is held to `dump` byte-identity on every
  *    generated value.
  *
+ *  - **Number spelling**: every writer spells numbers byte for
+ *    byte like a test-only copy of the snprintf/strtod spelling
+ *    the files on disk were written with.
+ *
  * Every failure message carries the deterministic seed (and the
  * offending document), so any reported case replays exactly.
  * `ECOCHIP_FUZZ_CASES` scales the per-seed case count (default
  * keeps the default ctest run fast; CI's sanitizer job raises it).
  */
 
+#include <algorithm>
 #include <cfloat>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -412,39 +419,41 @@ expectNumberRoundTrips(double x, const std::string &where)
         << where << ": " << text;
 }
 
+/** Hand-picked boundary values for the number tests. */
+const double kCornerValues[] = {
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    0.1,
+    0.35,
+    1.0 / 3.0,
+    2.0 / 3.0,
+    1e-5,
+    -1e-5,
+    3.14159265358979323846,
+    6.02214076e23,
+    1e15,          // integral fast-path boundary
+    1e15 - 1.0,
+    -1e15,
+    9007199254740991.0,  // 2^53 - 1
+    9007199254740993.0,  // first non-representable odd
+    DBL_MAX,
+    -DBL_MAX,
+    DBL_MIN,             // smallest normal
+    -DBL_MIN,
+    5e-324,              // smallest denormal
+    -5e-324,
+    2.2250738585072011e-308, // near-denormal boundary
+    1.7976931348623157e308,
+    4.9406564584124654e-324,
+    123456789.123456789,
+    0.42187500000000006,
+};
+
 TEST(JsonNumbers, CornerValuesRoundTripBitwise)
 {
-    const double corpus[] = {
-        0.0,
-        -0.0,
-        1.0,
-        -1.0,
-        0.1,
-        0.35,
-        1.0 / 3.0,
-        2.0 / 3.0,
-        1e-5,
-        -1e-5,
-        3.14159265358979323846,
-        6.02214076e23,
-        1e15,          // integral fast-path boundary
-        1e15 - 1.0,
-        -1e15,
-        9007199254740991.0,  // 2^53 - 1
-        9007199254740993.0,  // first non-representable odd
-        DBL_MAX,
-        -DBL_MAX,
-        DBL_MIN,             // smallest normal
-        -DBL_MIN,
-        5e-324,              // smallest denormal
-        -5e-324,
-        2.2250738585072011e-308, // near-denormal boundary
-        1.7976931348623157e308,
-        4.9406564584124654e-324,
-        123456789.123456789,
-        0.42187500000000006,
-    };
-    for (double x : corpus)
+    for (double x : kCornerValues)
         expectNumberRoundTrips(
             x, "corner value " + std::to_string(x));
 }
@@ -465,8 +474,6 @@ TEST(JsonNumbers, RandomDoublesRoundTripBitwise)
     }
 }
 
-// Every number appearing in the shipped data/ tree round-trips:
-// the values the paper pipeline actually runs on.
 void
 collectNumbers(const Value &value, std::vector<double> &out)
 {
@@ -482,28 +489,148 @@ collectNumbers(const Value &value, std::vector<double> &out)
             collectNumbers(member.second, out);
 }
 
-TEST(JsonNumbers, EveryDataTreeValueRoundTripsBitwise)
+/**
+ * Every number in the JSON files of the shipped data/ tree: the
+ * values the paper pipeline actually runs on. Empty when the tree
+ * is unavailable; a tree that yields no numbers fails the caller.
+ */
+std::vector<double>
+dataTreeNumbers()
 {
+    std::vector<double> numbers;
     const std::string root = ECOCHIP_DATA_DIR;
     if (root.empty() || !std::filesystem::exists(root))
-        GTEST_SKIP() << "data directory unavailable";
-    std::size_t files = 0;
-    std::vector<double> numbers;
+        return numbers;
     for (const auto &entry :
          std::filesystem::recursive_directory_iterator(root)) {
-        if (!entry.is_regular_file() ||
-            entry.path().extension() != ".json")
-            continue;
-        ++files;
-        collectNumbers(parseFile(entry.path().string()),
-                       numbers);
+        if (entry.is_regular_file() &&
+            entry.path().extension() == ".json")
+            collectNumbers(parseFile(entry.path().string()),
+                           numbers);
     }
-    ASSERT_GT(files, 0u) << "no JSON files under " << root;
-    ASSERT_GT(numbers.size(), 0u);
+    if (numbers.empty())
+        ADD_FAILURE() << "no JSON numbers under " << root;
+    return numbers;
+}
+
+TEST(JsonNumbers, EveryDataTreeValueRoundTripsBitwise)
+{
+    const std::vector<double> numbers = dataTreeNumbers();
+    if (numbers.empty())
+        GTEST_SKIP() << "data directory unavailable";
     for (std::size_t i = 0; i < numbers.size(); ++i)
         expectNumberRoundTrips(numbers[i],
                                "data value #" +
                                    std::to_string(i));
+}
+
+/**
+ * Reference copy of the printf-based number spelling the writer
+ * must keep byte for byte: `%.0f` for integral values below 1e15;
+ * otherwise `%.*g` at 15..17 digits, the precision guessed from
+ * the digits of the shortest `std::to_chars` spelling (exponent
+ * digits included) and confirmed by reading back with `strtod`,
+ * else the first of 15, 16, 17 that reads back.
+ */
+std::string
+legacySpelling(double n)
+{
+    char buf[40];
+    if (n == std::floor(n) && std::abs(n) < 1e15) {
+        std::snprintf(buf, sizeof(buf), "%.0f", n);
+        return buf;
+    }
+    char shortest[40];
+    const auto conv = std::to_chars(
+        shortest, shortest + sizeof(shortest), n);
+    int digits = 0;
+    bool seen_nonzero = false;
+    bool positional = true;
+    for (const char *p = shortest; p != conv.ptr; ++p) {
+        if (*p == 'e' || *p == '.') {
+            positional = false;
+            continue;
+        }
+        if (*p < '0' || *p > '9')
+            continue;
+        if (*p == '0' && !seen_nonzero)
+            continue;
+        seen_nonzero = true;
+        ++digits;
+    }
+    if (positional)
+        for (const char *p = conv.ptr - 1;
+             p != shortest && *p == '0'; --p)
+            --digits;
+    std::snprintf(buf, sizeof(buf), "%.*g",
+                  std::clamp(digits, 15, 17), n);
+    if (std::strtod(buf, nullptr) == n)
+        return buf;
+    for (int p = 15; p <= 17; ++p) {
+        std::snprintf(buf, sizeof(buf), "%.*g", p, n);
+        if (std::strtod(buf, nullptr) == n)
+            break;
+    }
+    return buf;
+}
+
+void
+expectLegacySpelling(double x)
+{
+    const std::string want = legacySpelling(x);
+    char hex[40];
+    std::snprintf(hex, sizeof(hex), "%a", x);
+    EXPECT_EQ(formatNumber(x), want) << hex;
+    StreamWriter writer;
+    writer.number(x);
+    EXPECT_EQ(writer.take(), want) << hex;
+    EXPECT_EQ(Value(x).dump(false), want) << hex;
+}
+
+TEST(JsonNumbers, SpellingMatchesLegacyPrintf)
+{
+    for (double x : kCornerValues)
+        expectLegacySpelling(x);
+
+    // Powers of two are where a correctly rounded 16-digit
+    // spelling can fail to read back; their neighbours differ in
+    // the last bit.
+    for (int e = -1074; e <= 1023; ++e)
+        for (double sign : {1.0, -1.0}) {
+            const double x = sign * std::ldexp(1.0, e);
+            expectLegacySpelling(x);
+            expectLegacySpelling(std::nextafter(x, 0.0));
+            expectLegacySpelling(std::nextafter(x, sign * HUGE_VAL));
+        }
+
+    // The integral fast path ends at |x| = 1e15.
+    for (double sign : {1.0, -1.0})
+        for (int k = -64; k <= 64; ++k) {
+            const double x = sign * (1e15 + k);
+            expectLegacySpelling(x);
+            expectLegacySpelling(x + sign * 0.5);
+            expectLegacySpelling(std::nextafter(x, 0.0));
+        }
+
+    Rng rng(0x5EED);
+    for (int i = 0; i < casesPerSeed(500); ++i) {
+        const std::uint64_t u = rng.next();
+        double x;
+        std::memcpy(&x, &u, sizeof x);
+        if (std::isfinite(x))
+            expectLegacySpelling(x);
+        // Integers of up to 53 bits scaled by 2^k: exact
+        // integers, halves, and large round values.
+        const auto mantissa = static_cast<std::int64_t>(
+            rng.next() >> (11 + rng.next() % 53));
+        const int k = static_cast<int>(rng.next() % 121) - 60;
+        expectLegacySpelling(
+            std::ldexp(static_cast<double>(mantissa), k) *
+            (rng.next() % 2 == 0 ? 1.0 : -1.0));
+    }
+
+    for (double x : dataTreeNumbers())
+        expectLegacySpelling(x);
 }
 
 } // namespace

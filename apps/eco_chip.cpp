@@ -898,8 +898,11 @@ runConnect(const CliOptions &opts)
                   "but catalogs are server-side state; start "
                   "the server with --scenarios instead");
 
-    for (const auto &request : batch.requests)
-        client.sendLine(requestToJson(request).dump(false));
+    json::StreamWriter writer;
+    for (const auto &request : batch.requests) {
+        appendRequest(writer, request);
+        client.sendLine(writer.take());
+    }
 
     // One event line per request, completion order; echo each as
     // it arrives and slot it by index for the report document.

@@ -738,30 +738,9 @@ wireBenchText()
 }
 
 void
-BM_JsonSerializeReportDom(benchmark::State &state)
-{
-    // Baseline: materialize the report DOM, then dump it -- the
-    // pre-wire-path cost of every --json write and merge.
-    const BatchReport &report = wireBenchReport();
-    std::size_t bytes = 0;
-    for (auto _ : state) {
-        const std::string text =
-            batchReportToJson(report).dump(false);
-        bytes = text.size();
-        benchmark::DoNotOptimize(text);
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_JsonSerializeReportDom)
-    ->Name("JsonSerializeReport10kDom")
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_JsonSerializeReportWire(benchmark::State &state)
 {
-    // The streaming writer path: identical bytes, no DOM.
+    // The streaming writer path: the report's bytes, no DOM.
     const BatchReport &report = wireBenchReport();
     std::size_t bytes = 0;
     for (auto _ : state) {
@@ -817,8 +796,9 @@ BENCHMARK(BM_JsonFormatNumber)
 void
 BM_JsonParseReportDom(benchmark::State &state)
 {
-    // Baseline: full DOM parse of the report, the way the merge
-    // path consumed shard reports before the scanner existed.
+    // Full DOM parse of the report (the tree built on the
+    // scanner), the way the merge path consumed shard reports
+    // before it scanned them directly.
     const std::string &text = wireBenchText();
     for (auto _ : state) {
         const json::Value doc = json::parse(text);

@@ -8,13 +8,6 @@
 
 namespace ecochip {
 
-/*
- * appendOutcome / appendStreamEvent / batchReportText are the
- * primary serializers on the wire path; the *ToJson variants
- * parse their output so the DOM view cannot drift from the bytes
- * workers actually write.
- */
-
 namespace {
 
 /** The members shared by outcome documents and stream events. */
@@ -46,14 +39,6 @@ appendOutcome(json::StreamWriter &writer,
     writer.endObject();
 }
 
-json::Value
-outcomeToJson(const RequestOutcome &outcome)
-{
-    json::StreamWriter writer;
-    appendOutcome(writer, outcome);
-    return json::parse(writer.take());
-}
-
 void
 appendStreamEvent(json::StreamWriter &writer, std::size_t index,
                   const RequestOutcome &outcome)
@@ -83,12 +68,6 @@ batchReportText(const BatchReport &report, bool pretty)
     return writer.take();
 }
 
-json::Value
-batchReportToJson(const BatchReport &report)
-{
-    return json::parse(batchReportText(report, false));
-}
-
 void
 writeBatchReportFile(const BatchReport &report,
                      const std::string &path)
@@ -97,13 +76,6 @@ writeBatchReportFile(const BatchReport &report,
     requireConfig(static_cast<bool>(out),
                   "cannot write JSON file: " + path);
     out << batchReportText(report, true) << '\n';
-}
-
-json::Value
-streamEventToJson(std::size_t index,
-                  const RequestOutcome &outcome)
-{
-    return json::parse(streamEventLine(index, outcome));
 }
 
 std::string

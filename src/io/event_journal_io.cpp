@@ -1,6 +1,5 @@
 #include "io/event_journal_io.h"
 
-#include <cmath>
 #include <utility>
 
 #include "json/ondemand.h"
@@ -21,28 +20,6 @@ coordinatorJournalName()
     return "journal.ndjson";
 }
 
-JournalEntry
-splitEventDocument(const json::Value &event,
-                   const std::string &context)
-{
-    requireConfig(event.isObject() && event.contains("index"),
-                  context +
-                      ": not a stream event (expected an object "
-                      "with an \"index\" member)");
-    const auto index = event.at("index").asInteger();
-    requireConfig(index >= 0,
-                  context + ": negative event index " +
-                      std::to_string(index));
-
-    JournalEntry entry;
-    entry.index = static_cast<std::size_t>(index);
-    entry.outcome = json::Value::makeObject();
-    for (const auto &member : event.members())
-        if (member.first != "index")
-            entry.outcome.set(member.first, member.second);
-    return entry;
-}
-
 JournalEntryText
 splitEventLine(std::string_view line, const std::string &context)
 {
@@ -61,15 +38,8 @@ splitEventLine(std::string_view line, const std::string &context)
     std::size_t index = 0;
     while (scanner.nextMember(key)) {
         if (key == "index") {
-            const double n = scanner.number();
-            // Same integral tolerance (and message) as the DOM
-            // path's Value::asInteger.
-            const double rounded = std::round(n);
-            requireConfig(std::abs(n - rounded) < 1e-9,
-                          "JSON number is not an integer: " +
-                              std::to_string(n));
-            const auto idx =
-                static_cast<std::int64_t>(rounded);
+            const std::int64_t idx =
+                json::Value(scanner.number()).asInteger();
             requireConfig(idx >= 0,
                           context + ": negative event index " +
                               std::to_string(idx));
@@ -98,14 +68,6 @@ EventJournalWriter::open(const std::string &path, bool append)
     requireConfig(out_.good(),
                   "cannot open the outcome journal for writing: " +
                       path);
-}
-
-void
-EventJournalWriter::append(std::size_t index,
-                           const json::Value &outcome)
-{
-    const std::string text = outcome.dump(false);
-    append(index, std::string_view(text));
 }
 
 void
@@ -166,16 +128,6 @@ replayEventJournalText(const std::string &path)
         entries.push_back(splitEventLine(
             line, path + ": line " + std::to_string(line_no)));
     }
-    return entries;
-}
-
-std::vector<JournalEntry>
-replayEventJournal(const std::string &path)
-{
-    std::vector<JournalEntry> entries;
-    for (auto &entry : replayEventJournalText(path))
-        entries.push_back(JournalEntry{
-            entry.index, json::parse(entry.outcome)});
     return entries;
 }
 

@@ -36,8 +36,6 @@
 #include <string_view>
 #include <vector>
 
-#include "json/json.h"
-
 namespace ecochip {
 
 /** Event-file path convention for a worker report path. */
@@ -47,32 +45,11 @@ std::string eventsPathFor(const std::string &report_path);
 std::string coordinatorJournalName();
 
 /**
- * One replayed journal line: the outcome document (without the
- * `index` member, insertion order preserved) and the original
- * batch index it belongs to.
- */
-struct JournalEntry
-{
-    std::size_t index = 0;
-    json::Value outcome;
-};
-
-/**
- * Split @p event (a parsed stream-event line) into its index and
- * its outcome document -- the event without the `index` member,
- * member order preserved, so reassembled outcomes stay
- * byte-identical to the worker's own report.
- *
- * @throws ConfigError when @p event is not an object with a
- *         non-negative integer `index`.
- */
-JournalEntry splitEventDocument(const json::Value &event,
-                                const std::string &context);
-
-/**
- * Text twin of `JournalEntry`: the outcome as canonical compact
- * JSON (exactly `parse(line-minus-index).dump(false)` bytes)
- * instead of a DOM -- what the hot merge path consumes.
+ * One stream-event line split in two: the original batch (or
+ * sub-batch) index, and the outcome document without the `index`
+ * member as canonical compact JSON (exactly
+ * `parse(line-minus-index).dump(false)` bytes, member order
+ * preserved) -- what the merge path consumes.
  */
 struct JournalEntryText
 {
@@ -109,14 +86,11 @@ class EventJournalWriter
      */
     void open(const std::string &path, bool append);
 
-    /** Append `{"index": index, ...outcome}` as one line. */
-    void append(std::size_t index, const json::Value &outcome);
-
     /**
-     * Text-splice overload -- the hot path. @p outcome_text must
-     * be one compact JSON object (a canonical outcome document);
-     * the index member is spliced in front of its members without
-     * parsing anything.
+     * Append `{"index": index, ...outcome}` as one line.
+     * @p outcome_text must be one compact JSON object (a canonical
+     * outcome document); the index member is spliced in front of
+     * its members without parsing anything.
      */
     void append(std::size_t index, std::string_view outcome_text);
 
@@ -128,18 +102,13 @@ class EventJournalWriter
 };
 
 /**
- * Replay the journal at @p path. A missing file replays as
- * empty. A trailing line without `\n` that fails to parse is
- * dropped (the coordinator was killed mid-append); any other
- * malformed line throws `ConfigError` naming @p path.
- */
-std::vector<JournalEntry>
-replayEventJournal(const std::string &path);
-
-/**
- * Scan-only twin of `replayEventJournal`: outcomes come back as
- * canonical compact text spans, never as a DOM -- what `--resume`
- * feeds straight into the incremental merger.
+ * Replay the journal at @p path with the on-demand scanner:
+ * outcomes come back as canonical compact text, never as a DOM --
+ * what `--resume` feeds straight into the incremental merger. A
+ * missing file replays as empty. A trailing line without `\n`
+ * that fails to parse is dropped (the coordinator was killed
+ * mid-append); any other malformed line throws `ConfigError`
+ * naming @p path.
  */
 std::vector<JournalEntryText>
 replayEventJournalText(const std::string &path);

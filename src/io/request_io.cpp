@@ -110,14 +110,6 @@ costParamsFromJson(const json::Value &doc,
     return params;
 }
 
-json::Value
-uncertaintyBandsToJson(const UncertaintyBands &bands)
-{
-    json::StreamWriter writer;
-    appendUncertaintyBands(writer, bands);
-    return json::parse(writer.take());
-}
-
 UncertaintyBands
 uncertaintyBandsFromJson(const json::Value &doc,
                          const std::string &context)
@@ -309,9 +301,10 @@ requestFromJson(const json::Value &doc,
                           context);
         MonteCarloSpec spec;
         // asInteger rejects non-integral numbers (10.7 must not
-        // silently truncate to 10 trials); the range checks run
-        // on the int64 before narrowing, so out-of-int values
-        // are rejected rather than wrapped.
+        // silently truncate to 10 trials) and numbers outside
+        // int64; the range checks run on the int64 before
+        // narrowing, so out-of-int values are rejected rather
+        // than wrapped.
         if (doc.contains("trials")) {
             const std::int64_t trials =
                 doc.at("trials").asInteger();

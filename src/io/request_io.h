@@ -114,10 +114,6 @@ CostParams costParamsFromJson(const json::Value &doc,
                               const std::string &context =
                                   "cost params");
 
-/** Serialize Monte-Carlo sampling bands. */
-json::Value
-uncertaintyBandsToJson(const UncertaintyBands &bands);
-
 /** Parse Monte-Carlo sampling bands. */
 UncertaintyBands
 uncertaintyBandsFromJson(const json::Value &doc,

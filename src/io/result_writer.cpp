@@ -17,8 +17,8 @@ num(double value, int precision = 3)
 
 /*
  * The append* emitters are the single source of truth for the
- * result wire format; resultToJson/sampleStatsToJson parse their
- * output, so the DOM and streaming serializations cannot drift.
+ * result wire format; resultToJson parses their output, so the
+ * DOM view cannot drift from the bytes.
  */
 
 void
@@ -107,14 +107,6 @@ appendSampleStats(json::StreamWriter &writer,
     writer.key("max");
     writer.number(stats.max());
     writer.endObject();
-}
-
-json::Value
-sampleStatsToJson(const SampleStats &stats)
-{
-    json::StreamWriter writer;
-    appendSampleStats(writer, stats);
-    return json::parse(writer.take());
 }
 
 void

@@ -39,9 +39,6 @@ json::Value resultToJson(const AnalysisResult &result);
 void appendSampleStats(json::StreamWriter &writer,
                        const SampleStats &stats);
 
-/** Distribution summary of one sampled metric. */
-json::Value sampleStatsToJson(const SampleStats &stats);
-
 /**
  * Render any analysis result as a markdown report.
  *

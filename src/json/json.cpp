@@ -1,7 +1,6 @@
 #include "json/json.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -10,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "json/ondemand.h"
+#include "json/stream_writer.h"
 #include "support/error.h"
 
 namespace ecochip::json {
@@ -87,7 +88,11 @@ Value::asInteger() const
     const double rounded = std::round(n);
     requireConfig(std::abs(n - rounded) < 1e-9,
                   "JSON number is not an integer: " +
-                      std::to_string(n));
+                      formatNumber(n));
+    // [-2^63, 2^63): exactly the doubles an int64 can hold.
+    requireConfig(rounded >= -0x1p63 && rounded < 0x1p63,
+                  "JSON number is out of the integer range: " +
+                      formatNumber(n));
     return static_cast<std::int64_t>(rounded);
 }
 
@@ -348,374 +353,59 @@ numberFromToken(std::string_view token, bool *out_of_range)
     return value;
 }
 
-void
-Value::dumpTo(std::string &out, bool pretty, int depth) const
-{
-    const std::string indent =
-        pretty ? std::string(4 * (depth + 1), ' ') : "";
-    const std::string closing_indent =
-        pretty ? std::string(4 * depth, ' ') : "";
-    const char *nl = pretty ? "\n" : "";
-    const char *colon = pretty ? ": " : ":";
-
-    switch (type_) {
-      case Type::Null:
-        out += "null";
-        break;
-      case Type::Boolean:
-        out += boolean_ ? "true" : "false";
-        break;
-      case Type::Number:
-        appendNumber(out, number_);
-        break;
-      case Type::String:
-        escapeStringTo(out, string_);
-        break;
-      case Type::Array:
-        if (array_.empty()) {
-            out += "[]";
-            break;
-        }
-        out += '[';
-        out += nl;
-        for (std::size_t i = 0; i < array_.size(); ++i) {
-            out += indent;
-            array_[i].dumpTo(out, pretty, depth + 1);
-            if (i + 1 < array_.size())
-                out += ',';
-            out += nl;
-        }
-        out += closing_indent;
-        out += ']';
-        break;
-      case Type::Object:
-        if (object_.empty()) {
-            out += "{}";
-            break;
-        }
-        out += '{';
-        out += nl;
-        for (std::size_t i = 0; i < object_.size(); ++i) {
-            out += indent;
-            escapeStringTo(out, object_[i].first);
-            out += colon;
-            object_[i].second.dumpTo(out, pretty, depth + 1);
-            if (i + 1 < object_.size())
-                out += ',';
-            out += nl;
-        }
-        out += closing_indent;
-        out += '}';
-        break;
-    }
-}
-
 std::string
 Value::dump(bool pretty) const
 {
-    std::string out;
-    dumpTo(out, pretty, 0);
-    return out;
+    StreamWriter writer(pretty);
+    appendValue(writer, *this);
+    return writer.take();
 }
 
 namespace {
 
-/**
- * Recursive-descent JSON parser with position tracking for error
- * messages.
- */
-class Parser
+/** Build the next value of @p in as a tree (the DOM over the
+ *  on-demand scanner, which owns the grammar and its errors). */
+Value
+buildValue(ondemand::Scanner &in)
 {
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    Value
-    parseDocument()
-    {
-        skipWhitespace();
-        Value v = parseValue();
-        skipWhitespace();
-        if (pos_ != text_.size())
-            fail("trailing characters after JSON document");
-        return v;
+    switch (in.peekType()) {
+      case Type::Null:
+        in.null();
+        return Value();
+      case Type::Boolean:
+        return Value(in.boolean());
+      case Type::Number:
+        return Value(in.number());
+      case Type::String:
+        return Value(in.string());
+      case Type::Array: {
+        std::vector<Value> elements;
+        in.beginArray();
+        while (in.nextElement())
+            elements.push_back(buildValue(in));
+        return Value::makeArray(std::move(elements));
+      }
+      case Type::Object: {
+        Value object = Value::makeObject();
+        in.beginObject();
+        std::string key;
+        while (in.nextMember(key))
+            object.set(key, buildValue(in));
+        return object;
+      }
     }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &message) const
-    {
-        std::size_t line = 1, col = 1;
-        for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-            if (text_[i] == '\n') {
-                ++line;
-                col = 1;
-            } else {
-                ++col;
-            }
-        }
-        throw ConfigError("JSON parse error at line " +
-                          std::to_string(line) + ", column " +
-                          std::to_string(col) + ": " + message);
-    }
-
-    bool atEnd() const { return pos_ >= text_.size(); }
-
-    char
-    peek() const
-    {
-        if (atEnd())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    char
-    advance()
-    {
-        const char c = peek();
-        ++pos_;
-        return c;
-    }
-
-    void
-    expect(char c)
-    {
-        if (atEnd() || text_[pos_] != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    void
-    skipWhitespace()
-    {
-        while (!atEnd()) {
-            const char c = text_[pos_];
-            if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-                ++pos_;
-            } else if (c == '/' && pos_ + 1 < text_.size() &&
-                       text_[pos_ + 1] == '/') {
-                // Tolerate //-comments: config files in the wild
-                // often carry them.
-                while (!atEnd() && text_[pos_] != '\n')
-                    ++pos_;
-            } else {
-                break;
-            }
-        }
-    }
-
-    Value
-    parseValue()
-    {
-        skipWhitespace();
-        const char c = peek();
-        switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return Value(parseString());
-          case 't': case 'f': return parseBoolean();
-          case 'n': return parseNull();
-          default:
-            if (c == '-' || (c >= '0' && c <= '9'))
-                return parseNumber();
-            fail("unexpected character");
-        }
-    }
-
-    Value
-    parseObject()
-    {
-        expect('{');
-        Value obj = Value::makeObject();
-        skipWhitespace();
-        if (peek() == '}') {
-            ++pos_;
-            return obj;
-        }
-        while (true) {
-            skipWhitespace();
-            if (peek() != '"')
-                fail("expected object key string");
-            std::string key = parseString();
-            skipWhitespace();
-            expect(':');
-            Value v = parseValue();
-            if (obj.contains(key))
-                fail("duplicate object key: \"" + key + "\"");
-            obj.set(key, std::move(v));
-            skipWhitespace();
-            const char c = advance();
-            if (c == '}')
-                return obj;
-            if (c != ',')
-                fail("expected ',' or '}' in object");
-        }
-    }
-
-    Value
-    parseArray()
-    {
-        expect('[');
-        Value arr = Value::makeArray();
-        skipWhitespace();
-        if (peek() == ']') {
-            ++pos_;
-            return arr;
-        }
-        while (true) {
-            arr.append(parseValue());
-            skipWhitespace();
-            const char c = advance();
-            if (c == ']')
-                return arr;
-            if (c != ',')
-                fail("expected ',' or ']' in array");
-        }
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (atEnd())
-                fail("unterminated string");
-            char c = advance();
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                const char esc = advance();
-                switch (esc) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u': out += parseUnicodeEscape(); break;
-                  default: fail("invalid escape sequence");
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                fail("raw control character in string");
-            } else {
-                out += c;
-            }
-        }
-    }
-
-    std::string
-    parseUnicodeEscape()
-    {
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char c = advance();
-            code <<= 4;
-            if (c >= '0' && c <= '9')
-                code += c - '0';
-            else if (c >= 'a' && c <= 'f')
-                code += c - 'a' + 10;
-            else if (c >= 'A' && c <= 'F')
-                code += c - 'A' + 10;
-            else
-                fail("invalid \\u escape");
-        }
-        // Encode the code point as UTF-8 (BMP only; surrogate pairs
-        // are passed through as two separate escapes, adequate for
-        // configuration files).
-        std::string out;
-        if (code < 0x80) {
-            out += static_cast<char>(code);
-        } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-        } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-        }
-        return out;
-    }
-
-    Value
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        if (atEnd() || !std::isdigit(
-                static_cast<unsigned char>(text_[pos_])))
-            fail("invalid number");
-        while (!atEnd() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-        if (!atEnd() && text_[pos_] == '.') {
-            ++pos_;
-            if (atEnd() || !std::isdigit(
-                    static_cast<unsigned char>(text_[pos_])))
-                fail("digit required after decimal point");
-            while (!atEnd() && std::isdigit(
-                       static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
-        }
-        if (!atEnd() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (!atEnd() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            if (atEnd() || !std::isdigit(
-                    static_cast<unsigned char>(text_[pos_])))
-                fail("digit required in exponent");
-            while (!atEnd() && std::isdigit(
-                       static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
-        }
-        bool out_of_range = false;
-        const double value = numberFromToken(
-            std::string_view(text_).substr(start, pos_ - start),
-            &out_of_range);
-        if (out_of_range) {
-            pos_ = start;
-            fail("number out of range");
-        }
-        return Value(value);
-    }
-
-    Value
-    parseBoolean()
-    {
-        if (text_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            return Value(true);
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            return Value(false);
-        }
-        fail("invalid literal");
-    }
-
-    Value
-    parseNull()
-    {
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return Value();
-        }
-        fail("invalid literal");
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+    return Value();
+}
 
 } // namespace
 
 Value
 parse(const std::string &text)
 {
-    return Parser(text).parseDocument();
+    ondemand::Scanner in(text);
+    Value root = buildValue(in);
+    in.expectEnd();
+    return root;
 }
 
 Value

@@ -5,8 +5,12 @@
  * The reference ECO-CHIP artifact is driven by JSON configuration
  * files (architecture.json, packageC.json, designC.json,
  * operationalC.json). This module provides the equivalent substrate
- * with no external dependencies: a recursive-descent parser with
- * line/column error reporting and a pretty-printing serializer.
+ * with no external dependencies. `Value` is a read-side
+ * convenience layered over the wire path: `parse` builds the tree
+ * with the on-demand scanner (`json/ondemand.h`), the one JSON
+ * grammar, with its line/column errors, and `Value::dump` emits it
+ * through the streaming writer (`json/stream_writer.h`), the one
+ * layout writer.
  *
  * Objects preserve insertion order so that serialized configs diff
  * cleanly against their sources.
@@ -106,7 +110,8 @@ class Value
 
     /**
      * Checked integral access; throws ConfigError if the number is
-     * not integral within rounding tolerance.
+     * not integral within rounding tolerance or lies outside
+     * [-2^63, 2^63).
      */
     std::int64_t asInteger() const;
 
@@ -163,7 +168,8 @@ class Value
     const Value &operator[](std::size_t index) const;
 
     /**
-     * Serialize to a JSON string.
+     * Serialize to a JSON string: `appendValue` through a
+     * `StreamWriter`.
      *
      * @param pretty When true, emit 4-space indented output.
      */
@@ -173,8 +179,6 @@ class Value
     bool operator==(const Value &other) const;
 
   private:
-    void dumpTo(std::string &out, bool pretty, int depth) const;
-
     Type type_;
     bool boolean_ = false;
     double number_ = 0.0;
@@ -211,28 +215,26 @@ std::string formatNumber(double n);
 
 /**
  * Append the JSON string literal for @p s (including the
- * surrounding quotes) to @p out. One escaping routine backs both
- * the DOM serializer and `StreamWriter`, so the two paths cannot
- * disagree on control characters or quoting.
+ * surrounding quotes) to @p out: the one escaping routine, used
+ * by `StreamWriter`.
  */
 void escapeStringTo(std::string &out, std::string_view s);
 
 /**
  * Decode a lexically valid JSON number token to a double.
  *
- * Shared by the DOM parser and the on-demand scanner so both
- * agree bit-for-bit on every input. Parses the view in place with
- * `std::from_chars`; tokens it reports out of range go through
- * `strtod`, so underflow quietly returns the nearest representable
- * value (a denormal or zero) and overflow sets @p out_of_range
- * (when non-null) for the caller to report with its own position
- * context.
+ * The on-demand scanner's number decoding. Parses the view in
+ * place with `std::from_chars`; tokens it reports out of range go
+ * through `strtod`, so underflow quietly returns the nearest
+ * representable value (a denormal or zero) and overflow sets
+ * @p out_of_range (when non-null) for the caller to report with
+ * its own position context.
  */
 double numberFromToken(std::string_view token,
                        bool *out_of_range = nullptr);
 
 /**
- * Parse a JSON document.
+ * Parse a JSON document into a tree, through `ondemand::Scanner`.
  *
  * @param text Complete JSON text.
  * @return The parsed root value.

@@ -7,15 +7,6 @@
 
 namespace ecochip::json::ondemand {
 
-/*
- * Grammar parity notice: every accept/reject decision below
- * mirrors the DOM Parser in json.cpp -- including its deliberate
- * tolerances (//-comments in whitespace, leading-zero numbers)
- * and its strictures (duplicate keys, raw control characters in
- * strings, out-of-range numbers). Changing either parser without
- * the other breaks the differential fuzz suite.
- */
-
 void
 Scanner::fail(const std::string &message) const
 {
@@ -115,7 +106,7 @@ Scanner::decodeString()
                     else
                         fail("invalid \\u escape");
                 }
-                // BMP-only UTF-8, same as the DOM parser.
+                // BMP-only UTF-8.
                 if (code < 0x80) {
                     out += static_cast<char>(code);
                 } else if (code < 0x800) {
@@ -476,7 +467,7 @@ Scanner::beginObject()
 {
     skipWhitespace();
     expect('{');
-    frames_.push_back(Frame{'{', true, {}});
+    frames_.push_back(Frame{'{', true, keys_.size()});
 }
 
 bool
@@ -495,6 +486,7 @@ Scanner::nextMember(std::string &key)
     } else {
         const char c = advance();
         if (c == '}') {
+            keys_.resize(frames_.back().keys);
             frames_.pop_back();
             return false;
         }
@@ -505,11 +497,11 @@ Scanner::nextMember(std::string &key)
     if (peek() != '"')
         fail("expected object key string");
     key = decodeString();
-    Frame &frame = frames_.back();
-    for (const auto &seen : frame.keys)
-        if (seen == key)
+    for (std::size_t i = frames_.back().keys; i < keys_.size();
+         ++i)
+        if (keys_[i] == key)
             fail("duplicate object key: \"" + key + "\"");
-    frame.keys.push_back(key);
+    keys_.push_back(key);
     skipWhitespace();
     expect(':');
     return true;
@@ -520,7 +512,7 @@ Scanner::beginArray()
 {
     skipWhitespace();
     expect('[');
-    frames_.push_back(Frame{'[', true, {}});
+    frames_.push_back(Frame{'[', true, 0});
 }
 
 bool

@@ -7,15 +7,16 @@
  * on-demand design: seek to a key, iterate an array, yield raw
  * value spans -- without materializing a `json::Value` tree.
  *
- * The scanner accepts and rejects *exactly* the documents the DOM
- * parser (`json::parse`) does: the same grammar including the
- * `//`-comment and leading-zero tolerances, the same duplicate-key
- * rejection, the same BMP-only `\u` decoding, and the same number
- * decoding through `json::numberFromToken`. Errors are
- * `ConfigError`s carrying the identical
+ * The scanner is the project's one JSON grammar: `json::parse`
+ * builds its tree on it. RFC 8259 plus two tolerances (`//` line
+ * comments in whitespace, leading-zero numbers); duplicate object
+ * keys are rejected at the end of the repeated key, before its
+ * value is read; `\u` escapes decode BMP-only; numbers decode
+ * through `json::numberFromToken`. Errors are `ConfigError`s with
  * "JSON parse error at line L, column C: ..." position context.
  * The differential fuzz suite (tests/test_json_fuzz.cpp) holds the
- * two parsers to byte-for-byte agreement.
+ * scanner byte for byte to an independent test-only parser
+ * (tests/support/reference_json.h).
  */
 
 #ifndef ECOCHIP_JSON_ONDEMAND_H
@@ -96,9 +97,9 @@ class Scanner
   private:
     struct Frame
     {
-        char kind;  // '{' or '['
-        bool first; // no element consumed yet
-        std::vector<std::string> keys; // duplicate detection
+        char kind;        // '{' or '['
+        bool first;       // no element consumed yet
+        std::size_t keys; // object: index of its first key in keys_
     };
 
     bool atEnd() const { return pos_ >= text_.size(); }
@@ -116,6 +117,9 @@ class Scanner
     std::string_view text_;
     std::size_t pos_ = 0;
     std::vector<Frame> frames_;
+    /** Keys of the open objects, innermost last (duplicate
+     *  detection); one buffer reused by every object. */
+    std::vector<std::string> keys_;
 };
 
 /**

@@ -9,8 +9,7 @@ namespace ecochip::json {
 /*
  * The open bracket of a container is deferred until its first
  * element (or its end call) so that empty containers come out as
- * the two-character "[]" / "{}" forms the DOM serializer uses,
- * with no newline inside.
+ * the two-character "[]" / "{}" forms, with no newline inside.
  */
 void
 StreamWriter::materialize(Frame &frame)

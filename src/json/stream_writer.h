@@ -4,14 +4,15 @@
  *
  * `StreamWriter` serializes a document as a sequence of
  * begin/end/key/value calls with no intermediate `json::Value`
- * tree -- the output side of the fast wire path (the input side
- * is `json/ondemand.h`). Its output is byte-identical to
- * `Value::dump(pretty)` of the equivalent DOM: the same escaping
- * (`escapeStringTo`), the same number spelling (`appendNumber`),
- * the same 4-space pretty layout with `[]`/`{}` for empty
- * containers and `": "` after keys. The wire-path contract in
- * docs/file_formats.md rests on that identity; `appendValue` plus
- * the differential fuzz suite (tests/test_json_fuzz.cpp) lock it.
+ * tree -- the output side of the wire path (the input side is
+ * `json/ondemand.h`) and the project's one layout writer:
+ * `Value::dump` is `appendValue` into a `StreamWriter`. Strings go
+ * through `escapeStringTo`, numbers through `appendNumber`; the
+ * pretty layout indents 4 spaces per level, writes `[]`/`{}` for
+ * empty containers and `": "` after keys. The differential fuzz
+ * suite (tests/test_json_fuzz.cpp) holds the layout byte for byte
+ * to an independent test-only serializer
+ * (tests/support/reference_json.h).
  *
  * Scope violations -- a key outside an object, a value where a
  * key is required, unbalanced `end` calls -- throw ModelError:
@@ -34,8 +35,8 @@ class StreamWriter
 {
   public:
     /**
-     * @param pretty When true, emit the 4-space indented layout
-     *        of `Value::dump(true)`; otherwise the compact form.
+     * @param pretty When true, emit the 4-space indented layout;
+     *        otherwise the compact form.
      */
     explicit StreamWriter(bool pretty = false) : pretty_(pretty) {}
 
@@ -110,11 +111,7 @@ class StreamWriter
     bool has_root_ = false;
 };
 
-/**
- * Emit @p value through @p writer. `appendValue(w, v)` produces
- * exactly `v.dump(pretty)` -- the drift lock between the DOM
- * serializer and the streaming writer.
- */
+/** Emit @p value through @p writer (what `Value::dump` does). */
 void appendValue(StreamWriter &writer, const Value &value);
 
 } // namespace ecochip::json

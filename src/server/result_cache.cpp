@@ -130,14 +130,6 @@ ResultCache::loadIndex()
     stats_.evictions = 0;
 }
 
-std::optional<json::Value>
-ResultCache::lookup(const std::string &key)
-{
-    if (auto text = lookupText(key))
-        return json::parse(*text);
-    return std::nullopt;
-}
-
 std::optional<std::string>
 ResultCache::lookupText(const std::string &key)
 {
@@ -169,13 +161,6 @@ ResultCache::lookupText(const std::string &key)
         ++stats_.misses;
         return std::nullopt;
     }
-}
-
-void
-ResultCache::store(const std::string &key,
-                   const json::Value &result)
-{
-    storeText(key, result.dump(false));
 }
 
 void

@@ -2,8 +2,8 @@
  * @file
  * Fault-injecting `ShardTransport` for the coordinator tests and
  * benchmarks. It is test-only: it lives outside the `ecochip`
- * library, in the `ecochip_test_support` library that
- * `test_engine` and `bench_perf` link.
+ * library, in the `ecochip_test_support` library that the test
+ * binaries and `bench_perf` link.
  */
 
 #ifndef ECOCHIP_TESTS_SUPPORT_TEST_TRANSPORT_H

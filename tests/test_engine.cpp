@@ -354,6 +354,18 @@ TEST(RequestIo, GuardsAgainstLossyNumericConversions)
             R"({"scenario": "x", "analysis": "monte_carlo",
                 "threads": 10000000000})")),
         ConfigError);
+    // Past int64 itself the count is refused before any cast.
+    try {
+        requestFromJson(json::parse(
+            R"({"scenario": "x", "analysis": "monte_carlo",
+                "trials": 1e300})"));
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "out of the integer range"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ------------------------------------------------ catalogs
@@ -598,8 +610,8 @@ TEST(Stream, RunBatchIsBitIdenticalToAssemblingTheStream)
 
     // One serialization path -> byte-equal JSON is the bit-
     // identity check across every payload kind.
-    EXPECT_EQ(batchReportToJson(assembled).dump(true),
-              batchReportToJson(batch).dump(true));
+    EXPECT_EQ(batchReportText(assembled, true),
+              batchReportText(batch, true));
 }
 
 TEST(Stream, NdjsonEventsRoundTripThroughRequestIo)
@@ -658,7 +670,7 @@ shippedBatchPath()
 }
 
 /** A coordinated run's merged report, pretty-printed like
- *  `batchReportToJson(...).dump(true)`. */
+ *  `batchReportText(..., true)`. */
 std::string
 prettyReport(const CoordinatedRunResult &result)
 {
@@ -699,9 +711,8 @@ TEST(ShardRunner, MergedShardReportsAreByteIdenticalToOneProcess)
     std::string single;
     {
         AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
+        single = batchReportText(
+            engine.runBatch(batch.requests), true);
     }
 
     for (int shards : {1, 2, 4}) {
@@ -902,9 +913,8 @@ TEST(Coordinator, MergedReportByteIdenticalAtOneTwoFourHosts)
     std::string single;
     {
         AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
+        single = batchReportText(
+            engine.runBatch(batch.requests), true);
     }
 
     for (std::size_t hosts : {1u, 2u, 4u}) {
@@ -933,9 +943,8 @@ TEST(Coordinator, RetriesFailedShardOnAnotherHost)
     std::string single;
     {
         AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
+        single = batchReportText(
+            engine.runBatch(batch.requests), true);
     }
 
     auto transport = std::make_shared<TestTransport>();
@@ -979,9 +988,8 @@ TEST(Coordinator, StragglerIsCancelledAndRedispatched)
     std::string single;
     {
         AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
+        single = batchReportText(
+            engine.runBatch(batch.requests), true);
     }
 
     auto transport = std::make_shared<TestTransport>();
@@ -1219,14 +1227,16 @@ TEST(WorkQueue, IncrementalMergerIsPermutationInvariant)
     const BatchFile batch = loadBatchFile(shippedBatchPath());
     AnalysisEngine engine(4);
     const BatchReport report = engine.runBatch(batch.requests);
-    const std::string expected =
-        batchReportToJson(report).dump(true);
+    const std::string expected = batchReportText(report, true);
 
     // Canonical compact outcome text -- what workers stream and
     // the coordinator merges.
     std::vector<std::string> outcomes;
-    for (const auto &outcome : report.outcomes)
-        outcomes.push_back(outcomeToJson(outcome).dump(false));
+    for (const auto &outcome : report.outcomes) {
+        json::StreamWriter writer;
+        appendOutcome(writer, outcome);
+        outcomes.push_back(writer.take());
+    }
 
     std::vector<std::size_t> order(outcomes.size());
     for (std::size_t i = 0; i < order.size(); ++i)
@@ -1287,7 +1297,7 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
         AnalysisEngine engine(4);
         const BatchReport report =
             engine.runBatch(batch.requests);
-        single = batchReportToJson(report).dump(true);
+        single = batchReportText(report, true);
         for (std::size_t i = 0; i < 5; ++i)
             journal_lines.push_back(
                 streamEventLine(i, report.outcomes[i]));
@@ -1476,9 +1486,8 @@ TEST(DynamicCoordinator, StaleJournalIsUnlinkedOnFreshRun)
     std::string single;
     {
         AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
+        single = batchReportText(
+            engine.runBatch(batch.requests), true);
     }
 
     {
@@ -1495,8 +1504,9 @@ TEST(DynamicCoordinator, StaleJournalIsUnlinkedOnFreshRun)
     EXPECT_EQ(prettyReport(result), single);
     // The journal was rewritten from scratch: it now replays
     // cleanly and covers the whole batch.
-    EXPECT_EQ(replayEventJournal(journal_path.string()).size(),
-              batch.requests.size());
+    EXPECT_EQ(
+        replayEventJournalText(journal_path.string()).size(),
+        batch.requests.size());
 
     std::filesystem::remove_all(dir);
 }
@@ -1579,8 +1589,7 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
     std::string single;
     {
         AnalysisEngine engine(2);
-        single = batchReportToJson(engine.runBatch(requests))
-                     .dump(true);
+        single = batchReportText(engine.runBatch(requests), true);
     }
 
     auto transport = std::make_shared<TestTransport>();
@@ -1608,7 +1617,7 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
 
     // Synthetic outcomes were not journaled: only genuinely
     // finished requests replay.
-    const auto journaled = replayEventJournal(
+    const auto journaled = replayEventJournalText(
         (std::filesystem::path(options.shardDir) /
          coordinatorJournalName())
             .string());

@@ -16,6 +16,7 @@
 #include "json/ondemand.h"
 #include "json/stream_writer.h"
 #include "support/error.h"
+#include "support/reference_json.h"
 
 namespace ecochip {
 namespace {
@@ -336,7 +337,9 @@ TEST(ReportJson, CarriesAllSections)
     system.chiplets.push_back(Chiplet::fromArea(
         "b", DesignType::Memory, 10.0, 50.0, estimator.tech()));
     const CarbonReport report = estimator.estimate(system);
-    const json::Value doc = reportToJson(report);
+    json::StreamWriter writer;
+    appendReport(writer, report);
+    const json::Value doc = json::parse(writer.take());
 
     EXPECT_NEAR(doc.at("mfg_co2_kg").asNumber(), report.mfgCo2Kg,
                 1e-12);
@@ -370,31 +373,42 @@ sampleBatchReport()
     return engine.runBatch(requests);
 }
 
+/** @p text as the reference serializer re-emits its parse. */
+std::string
+referenceCanonical(const std::string &text, bool pretty)
+{
+    return json::reference::dump(json::reference::parse(text),
+                                 pretty);
+}
+
 TEST(WireIdentity, WriterEmittersMatchDomDumpsByteForByte)
 {
     const BatchReport report = sampleBatchReport();
     ASSERT_EQ(report.outcomes.size(), 3u);
     ASSERT_EQ(report.failed(), 1u);
 
-    // Whole-report text equals the DOM dump in both modes.
-    EXPECT_EQ(batchReportText(report, false),
-              batchReportToJson(report).dump(false));
+    // Whole-report text is canonical in both modes, and the
+    // pretty document is the layout of the compact one.
+    const std::string compact = batchReportText(report, false);
+    EXPECT_EQ(compact, referenceCanonical(compact, false));
     EXPECT_EQ(batchReportText(report, true),
-              batchReportToJson(report).dump(true));
+              referenceCanonical(compact, true));
 
     for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
         const RequestOutcome &outcome = report.outcomes[i];
         json::StreamWriter writer;
         appendOutcome(writer, outcome);
-        EXPECT_EQ(writer.take(),
-                  outcomeToJson(outcome).dump(false))
+        const std::string outcome_text = writer.take();
+        EXPECT_EQ(outcome_text,
+                  referenceCanonical(outcome_text, false))
             << i;
 
+        // A stream event is the outcome with "index" in front.
         json::StreamWriter event_writer;
         appendStreamEvent(event_writer, i, outcome);
         const std::string line = event_writer.take();
-        EXPECT_EQ(line,
-                  streamEventToJson(i, outcome).dump(false))
+        EXPECT_EQ(line, "{\"index\":" + std::to_string(i) + "," +
+                            outcome_text.substr(1))
             << i;
         EXPECT_EQ(streamEventLine(i, outcome), line) << i;
     }
@@ -411,18 +425,12 @@ TEST(WireIdentity, JournalRoundTripPreservesCanonicalBytes)
 
     EventJournalWriter journal;
     journal.open(path, false);
-    // Interleave the text hot path with the DOM convenience
-    // overload; the journal bytes must not care which was used.
+    std::vector<std::string> outcome_texts;
     for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
-        if (i % 2 == 0) {
-            json::StreamWriter writer;
-            appendOutcome(writer, report.outcomes[i]);
-            const std::string text = writer.take();
-            journal.append(i, std::string_view(text));
-        } else {
-            journal.append(i,
-                           outcomeToJson(report.outcomes[i]));
-        }
+        json::StreamWriter writer;
+        appendOutcome(writer, report.outcomes[i]);
+        outcome_texts.push_back(writer.take());
+        journal.append(i, outcome_texts.back());
     }
 
     const auto entries = replayEventJournalText(path);
@@ -430,10 +438,8 @@ TEST(WireIdentity, JournalRoundTripPreservesCanonicalBytes)
     for (std::size_t i = 0; i < entries.size(); ++i) {
         EXPECT_EQ(entries[i].index, i);
         // Replay yields canonical compact text: the exact bytes
-        // of the DOM serializer, spliceable without a reparse.
-        EXPECT_EQ(entries[i].outcome,
-                  outcomeToJson(report.outcomes[i]).dump(false))
-            << i;
+        // the writer emitted, spliceable without a reparse.
+        EXPECT_EQ(entries[i].outcome, outcome_texts[i]) << i;
         EXPECT_NO_THROW(
             json::ondemand::validate(entries[i].outcome));
     }
@@ -450,6 +456,25 @@ TEST(WireIdentity, JournalRoundTripPreservesCanonicalBytes)
     }
     EXPECT_EQ(n, entries.size());
     std::filesystem::remove(path);
+}
+
+TEST(WireIdentity, SplitEventLineRejectsEventsWithoutAnIndex)
+{
+    for (const char *line :
+         {R"([1])", R"({"ok":true})", R"({"index":-1})",
+          R"({"index":2.5})", R"({"index":"0"})", R"({"index":1e300})"})
+        EXPECT_THROW(splitEventLine(line, "events"), ConfigError)
+            << line;
+    // An index past int64 is refused before any narrowing cast.
+    try {
+        splitEventLine(R"({"index":1e300,"ok":true})", "events");
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "out of the integer range"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -2,12 +2,16 @@
  * @file
  * Unit tests for the JSON parser and serializer, the streaming
  * writer (`json/stream_writer.h`), and the forward-only on-demand
- * scanner (`json/ondemand.h`).
+ * scanner (`json/ondemand.h`). Comparisons against a parser or
+ * serializer use the test-only reference implementation
+ * (`support/reference_json.h`) as the oracle.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -15,9 +19,23 @@
 #include "json/ondemand.h"
 #include "json/stream_writer.h"
 #include "support/error.h"
+#include "support/reference_json.h"
 
 namespace ecochip::json {
 namespace {
+
+/** The message of the ConfigError @p fn throws, or "(accepted)". */
+template <typename Fn>
+std::string
+errorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "(accepted)";
+}
 
 TEST(JsonParse, Scalars)
 {
@@ -111,6 +129,30 @@ TEST(JsonParse, RejectsDuplicateKeys)
     EXPECT_THROW(parse(R"({"a": 1, "a": 2})"), ConfigError);
 }
 
+// One grammar, one duplicate-key rule: every entry point reports
+// a repeated key at the end of the key, before its value is read.
+TEST(JsonParse, DuplicateKeyIsReportedAtTheKey)
+{
+    const std::string text = R"({"a": 1, "a": [1, 2, 3]})";
+    const std::string want = "config error: JSON parse error at "
+                             "line 1, column 13: duplicate object "
+                             "key: \"a\"";
+    EXPECT_EQ(errorOf([&] { parse(text); }), want);
+    EXPECT_EQ(errorOf([&] { ondemand::validate(text); }), want);
+    EXPECT_EQ(errorOf([&] { ondemand::reserialize(text, false); }),
+              want);
+
+    // The duplicate wins over the malformed value after it.
+    const std::string cut = R"({"a":1,"a":tru})";
+    const std::string cut_want = "config error: JSON parse error "
+                                 "at line 1, column 11: duplicate "
+                                 "object key: \"a\"";
+    EXPECT_EQ(errorOf([&] { parse(cut); }), cut_want);
+    EXPECT_EQ(errorOf([&] { ondemand::validate(cut); }), cut_want);
+    EXPECT_EQ(errorOf([&] { ondemand::reserialize(cut, true); }),
+              cut_want);
+}
+
 TEST(JsonValue, TypeMismatchThrows)
 {
     const Value v = parse("{\"n\": 5}");
@@ -125,6 +167,26 @@ TEST(JsonValue, AsIntegerValidatesIntegrality)
     EXPECT_EQ(parse("7").asInteger(), 7);
     EXPECT_EQ(parse("-3").asInteger(), -3);
     EXPECT_THROW(parse("7.5").asInteger(), ConfigError);
+}
+
+TEST(JsonValue, AsIntegerRejectsOutOfRange)
+{
+    // [-2^63, 2^63) is exactly the range an int64 holds.
+    EXPECT_EQ(parse("-9223372036854775808").asInteger(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(parse("9223372036854774784").asInteger(),
+              std::int64_t{9223372036854774784}); // 2^63 - 1024
+    for (const char *text : {"1e300", "-1e300", "9.3e18", "-1e19",
+                             "9223372036854775808"})
+        EXPECT_THROW(parse(text).asInteger(), ConfigError) << text;
+
+    // Both messages spell the value the way the writer does.
+    EXPECT_EQ(errorOf([] { parse("7.5").asInteger(); }),
+              "config error: JSON number is not an integer: 7.5");
+    EXPECT_EQ(errorOf([] { parse("1e300").asInteger(); }),
+              "config error: JSON number is out of the integer "
+              "range: " +
+                  formatNumber(1e300));
 }
 
 TEST(JsonValue, OptionalLookups)
@@ -219,14 +281,16 @@ TEST(StreamWriter, MatchesDumpForScalars)
 
 TEST(StreamWriter, MatchesDumpForContainers)
 {
-    const Value doc = parse(
+    const Value doc = reference::parse(
         R"({"a":[1,2.5,"x"],"b":{"c":true,"d":null},"e":[],"f":{}})");
     StreamWriter compact;
     appendValue(compact, doc);
-    EXPECT_EQ(compact.take(), doc.dump(false));
+    EXPECT_EQ(compact.take(), reference::dump(doc, false));
     StreamWriter pretty(true);
     appendValue(pretty, doc);
-    EXPECT_EQ(pretty.take(), doc.dump(true));
+    EXPECT_EQ(pretty.take(), reference::dump(doc, true));
+    EXPECT_EQ(doc.dump(false), reference::dump(doc, false));
+    EXPECT_EQ(doc.dump(true), reference::dump(doc, true));
 }
 
 TEST(StreamWriter, EmptyContainersMatchDump)
@@ -241,7 +305,8 @@ TEST(StreamWriter, EmptyContainersMatchDump)
     pretty.endObject();
     pretty.endObject();
     EXPECT_EQ(pretty.take(),
-              parse(R"({"a":[],"b":{}})").dump(true));
+              reference::dump(
+                  reference::parse(R"({"a":[],"b":{}})"), true));
 }
 
 TEST(StreamWriter, TakeResetsForReuse)
@@ -413,10 +478,12 @@ TEST(Ondemand, ReserializeMatchesParseDump)
     const std::string text =
         "{\n  // comment\n  \"a\": [1, 2.50, \"x\\u0041\"],\n"
         "  \"b\": {\"c\": true, \"d\": null}\n}";
-    const Value doc = parse(text);
+    const Value doc = reference::parse(text);
     EXPECT_EQ(ondemand::reserialize(text, false),
-              doc.dump(false));
-    EXPECT_EQ(ondemand::reserialize(text, true), doc.dump(true));
+              reference::dump(doc, false));
+    EXPECT_EQ(ondemand::reserialize(text, true),
+              reference::dump(doc, true));
+    EXPECT_EQ(parse(text), doc);
 }
 
 TEST(Ondemand, RejectsDuplicateKeysLikeDom)
@@ -427,8 +494,9 @@ TEST(Ondemand, RejectsDuplicateKeysLikeDom)
 }
 
 // Malformed-input matrix: every case rejects with a
-// position-bearing error from BOTH parsers, and the scanner
-// never reads past the buffer (the ASan CI job runs this file).
+// position-bearing error from the scanner, `parse` and the
+// reference parser alike, and the scanner never reads past the
+// buffer (the ASan CI job runs this file).
 TEST(Ondemand, MalformedInputMatrixRejectsWithPositions)
 {
     const char *cases[] = {
@@ -464,15 +532,17 @@ TEST(Ondemand, MalformedInputMatrixRejectsWithPositions)
         "[1] [2]",              // two documents
     };
     for (const char *text : cases) {
-        // DOM parser rejects...
+        // The reference parser rejects...
         std::string dom_error;
         try {
-            parse(text);
+            reference::parse(text);
         } catch (const ConfigError &e) {
             dom_error = e.what();
         }
         ASSERT_FALSE(dom_error.empty())
-            << "DOM accepted: " << text;
+            << "reference accepted: " << text;
+        EXPECT_EQ(errorOf([&] { parse(text); }), dom_error)
+            << "input: " << text;
         // ...the scanner rejects with the identical message...
         std::string scan_error;
         try {

@@ -8,11 +8,13 @@
  *
  *  - **Differential fuzz** of the wire path: random JSON *text*
  *    (random whitespace, `//` comments, escapes, exotic numbers,
- *    multi-byte UTF-8) is fed to the DOM parser and the on-demand
- *    scanner; the two must agree byte-for-byte on every accepted
- *    document and reject the same mutated/truncated inputs. The
- *    streaming writer is held to `dump` byte-identity on every
- *    generated value.
+ *    multi-byte UTF-8) is fed to the on-demand scanner, to
+ *    `json::parse` (built on it) and to the independent test-only
+ *    reference parser (`support/reference_json.h`); they must
+ *    agree byte-for-byte on every accepted document and reject the
+ *    same mutated/truncated/duplicate-key inputs with the same
+ *    message. The streaming writer (and so `dump`) is held to the
+ *    reference serializer's bytes on every generated value.
  *
  *  - **Number spelling**: every writer spells numbers byte for
  *    byte like a test-only copy of the snprintf/strtod spelling
@@ -41,6 +43,7 @@
 #include "json/ondemand.h"
 #include "json/stream_writer.h"
 #include "support/error.h"
+#include "support/reference_json.h"
 #include "support/rng.h"
 
 #ifndef ECOCHIP_DATA_DIR
@@ -284,8 +287,9 @@ TEST_P(JsonFuzzTest, PrettyRoundTripIsIdentity)
     }
 }
 
-// The streaming writer is byte-identical to `dump` on every
-// random document, compact and pretty.
+// The streaming writer, and `dump` on top of it, are
+// byte-identical to the reference serializer on every random
+// document, compact and pretty.
 TEST_P(JsonFuzzTest, WriterMatchesDumpOnRandomValues)
 {
     const std::uint64_t seed =
@@ -293,20 +297,27 @@ TEST_P(JsonFuzzTest, WriterMatchesDumpOnRandomValues)
     Rng rng(seed);
     for (int i = 0; i < casesPerSeed(50); ++i) {
         const Value original = randomValue(rng, 4);
+        const std::string want_compact =
+            reference::dump(original, false);
+        const std::string want_pretty =
+            reference::dump(original, true);
         StreamWriter compact;
         appendValue(compact, original);
-        ASSERT_EQ(compact.take(), original.dump(false))
-            << "seed " << seed;
+        ASSERT_EQ(compact.take(), want_compact) << "seed " << seed;
         StreamWriter pretty(true);
         appendValue(pretty, original);
-        ASSERT_EQ(pretty.take(), original.dump(true))
+        ASSERT_EQ(pretty.take(), want_pretty) << "seed " << seed;
+        ASSERT_EQ(original.dump(false), want_compact)
+            << "seed " << seed;
+        ASSERT_EQ(original.dump(true), want_pretty)
             << "seed " << seed;
     }
 }
 
 // Differential core: on random *text*, the on-demand scanner's
-// canonicalization equals parse + dump, byte for byte, in both
-// output modes.
+// canonicalization equals the reference parse + dump, byte for
+// byte, in both output modes, and `parse` builds the reference
+// tree.
 TEST_P(JsonFuzzTest, OndemandAgreesWithDomOnRandomText)
 {
     const std::uint64_t seed =
@@ -317,7 +328,7 @@ TEST_P(JsonFuzzTest, OndemandAgreesWithDomOnRandomText)
         Value dom;
         std::string dom_error;
         try {
-            dom = parse(text);
+            dom = reference::parse(text);
         } catch (const ConfigError &e) {
             dom_error = e.what();
         }
@@ -330,17 +341,41 @@ TEST_P(JsonFuzzTest, OndemandAgreesWithDomOnRandomText)
                    << text;
         }
         ASSERT_EQ(ondemand::reserialize(text, false),
-                  dom.dump(false))
+                  reference::dump(dom, false))
             << "seed " << seed << ": " << text;
         ASSERT_EQ(ondemand::reserialize(text, true),
-                  dom.dump(true))
+                  reference::dump(dom, true))
+            << "seed " << seed << ": " << text;
+        ASSERT_EQ(parse(text), dom)
             << "seed " << seed << ": " << text;
     }
 }
 
-// Mutation agreement: truncate or corrupt random valid text; the
-// two parsers must agree on accept vs reject -- and when they
-// reject, on the exact error message (position included).
+/** Outcome of one parse attempt: the compact canonical text, or
+ *  the error message. */
+struct ParseOutcome
+{
+    std::string error = "(accepted)";
+    std::string dump;
+};
+
+template <typename Fn>
+ParseOutcome
+attempt(Fn &&fn)
+{
+    ParseOutcome outcome;
+    try {
+        outcome.dump = fn();
+    } catch (const ConfigError &e) {
+        outcome.error = e.what();
+    }
+    return outcome;
+}
+
+// Mutation agreement: truncate or corrupt random valid text, or
+// repeat a key; the scanner, `parse` and the reference parser
+// must agree on accept vs reject -- and when they reject, on the
+// exact error message (position included).
 TEST_P(JsonFuzzTest, OndemandAgreesWithDomOnMutatedText)
 {
     const std::uint64_t seed =
@@ -348,7 +383,7 @@ TEST_P(JsonFuzzTest, OndemandAgreesWithDomOnMutatedText)
     Rng rng(seed);
     for (int i = 0; i < casesPerSeed(50); ++i) {
         std::string text = randomDocumentText(rng);
-        switch (rng.next() % 3) {
+        switch (rng.next() % 4) {
           case 0: // truncate
             text = text.substr(0, rng.next() %
                                       (text.size() + 1));
@@ -359,29 +394,43 @@ TEST_P(JsonFuzzTest, OndemandAgreesWithDomOnMutatedText)
                     static_cast<char>(' ' + rng.next() % 95);
             break;
           }
-          default: // append garbage
+          case 2: // append garbage
             text += static_cast<char>(' ' + rng.next() % 95);
             break;
+          default: { // re-use an earlier key of the same object
+            // Object keys are "m0", "m1", ... in member order;
+            // no other token has a quote, 'm' and a digit in a
+            // row.
+            std::vector<std::size_t> later_keys;
+            for (std::size_t p = text.find("\"m");
+                 p != std::string::npos && p + 3 < text.size();
+                 p = text.find("\"m", p + 1))
+                if (text[p + 2] >= '1' && text[p + 2] <= '9' &&
+                    text[p + 3] == '"')
+                    later_keys.push_back(p + 2);
+            if (!later_keys.empty()) {
+                const std::size_t at =
+                    later_keys[rng.next() % later_keys.size()];
+                text[at] = static_cast<char>(
+                    '0' + rng.next() % (text[at] - '0'));
+            }
+            break;
+          }
         }
 
-        std::string dom_error = "(accepted)";
-        std::string dom_dump;
-        try {
-            dom_dump = parse(text).dump(false);
-        } catch (const ConfigError &e) {
-            dom_error = e.what();
+        const ParseOutcome want = attempt([&] {
+            return reference::dump(reference::parse(text), false);
+        });
+        const ParseOutcome scanned = attempt(
+            [&] { return ondemand::reserialize(text, false); });
+        const ParseOutcome built =
+            attempt([&] { return parse(text).dump(false); });
+        for (const ParseOutcome *got : {&scanned, &built}) {
+            ASSERT_EQ(got->error, want.error)
+                << "seed " << seed << ": " << text;
+            ASSERT_EQ(got->dump, want.dump)
+                << "seed " << seed << ": " << text;
         }
-        std::string scan_error = "(accepted)";
-        std::string scan_dump;
-        try {
-            scan_dump = ondemand::reserialize(text, false);
-        } catch (const ConfigError &e) {
-            scan_error = e.what();
-        }
-        ASSERT_EQ(scan_error, dom_error)
-            << "seed " << seed << ": " << text;
-        ASSERT_EQ(scan_dump, dom_dump)
-            << "seed " << seed << ": " << text;
     }
 }
 
@@ -406,13 +455,16 @@ void
 expectNumberRoundTrips(double x, const std::string &where)
 {
     const std::string text = formatNumber(x);
-    // The writer and dump agree on the spelling.
+    // The writer, dump and the reference serializer agree on the
+    // spelling.
     StreamWriter writer;
     writer.number(x);
     EXPECT_EQ(writer.take(), text) << where;
     EXPECT_EQ(Value(x).dump(false), text) << where;
-    // parse(write(x)) == x, bitwise, through both parsers.
-    EXPECT_EQ(bits(parse(text).asNumber()), bits(x))
+    EXPECT_EQ(reference::dump(Value(x), false), text) << where;
+    // parse(write(x)) == x, bitwise, through the reference parser
+    // and the scanner.
+    EXPECT_EQ(bits(reference::parse(text).asNumber()), bits(x))
         << where << ": " << text;
     ondemand::Scanner scanner(text);
     EXPECT_EQ(bits(scanner.number()), bits(x))

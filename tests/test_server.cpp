@@ -141,16 +141,14 @@ class ResultCacheTest : public ::testing::Test
 TEST_F(ResultCacheTest, StoreLookupRoundTripsAndCounts)
 {
     ResultCache cache({dirStr(), 0});
-    json::Value result = json::Value::makeObject();
-    result.set("kind", "estimate");
-    result.set("detail", "x");
+    const std::string result = R"({"kind":"estimate","detail":"x"})";
 
     const std::string key(64, 'a');
-    EXPECT_FALSE(cache.lookup(key).has_value());
-    cache.store(key, result);
-    const auto hit = cache.lookup(key);
+    EXPECT_FALSE(cache.lookupText(key).has_value());
+    cache.storeText(key, result);
+    const auto hit = cache.lookupText(key);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->dump(false), result.dump(false));
+    EXPECT_EQ(*hit, result);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().entries, 1u);
@@ -161,58 +159,54 @@ TEST_F(ResultCacheTest, SurvivesReopenAndIndexLoss)
     const std::string key(64, 'b');
     {
         ResultCache cache({dirStr(), 0});
-        json::Value result = json::Value::makeObject();
-        result.set("detail", "persisted");
-        cache.store(key, result);
+        cache.storeText(key, R"({"detail":"persisted"})");
         cache.flushIndex();
     }
     {
         ResultCache cache({dirStr(), 0});
-        ASSERT_TRUE(cache.lookup(key).has_value());
+        ASSERT_TRUE(cache.lookupText(key).has_value());
     }
     // Corrupt the index (crash before flushIndex): the object
     // tree is the truth and entries must still be found.
     std::ofstream(dir_ / "index.json") << "{ truncated";
     {
         ResultCache cache({dirStr(), 0});
-        ASSERT_TRUE(cache.lookup(key).has_value());
+        ASSERT_TRUE(cache.lookupText(key).has_value());
     }
 }
 
 TEST_F(ResultCacheTest, TruncatedObjectRecomputesInsteadOfCrash)
 {
     ResultCache cache({dirStr(), 0});
-    json::Value result = json::Value::makeObject();
-    result.set("detail", "will be truncated");
+    const std::string result = R"({"detail":"will be truncated"})";
     const std::string key(64, 'c');
-    cache.store(key, result);
+    cache.storeText(key, result);
 
     // Truncate the object file mid-JSON.
     const auto object =
         dir_ / "objects" / key.substr(0, 2) / (key + ".json");
     std::ofstream(object, std::ios::trunc) << "{\"detail\": \"wi";
 
-    EXPECT_FALSE(cache.lookup(key).has_value());
+    EXPECT_FALSE(cache.lookupText(key).has_value());
     EXPECT_EQ(cache.stats().entries, 0u);
     // A fresh store of the recomputed result heals the entry.
-    cache.store(key, result);
-    ASSERT_TRUE(cache.lookup(key).has_value());
+    cache.storeText(key, result);
+    ASSERT_TRUE(cache.lookupText(key).has_value());
 }
 
 TEST_F(ResultCacheTest, LruEvictionKeepsTheHotEntries)
 {
     ResultCache cache({dirStr(), 2});
-    json::Value result = json::Value::makeObject();
-    result.set("detail", "x");
+    const std::string result = R"({"detail":"x"})";
     const std::string a(64, 'a'), b(64, 'b'), c(64, 'd');
-    cache.store(a, result);
-    cache.store(b, result);
-    ASSERT_TRUE(cache.lookup(a).has_value()); // a is now hot
-    cache.store(c, result);                   // evicts b
+    cache.storeText(a, result);
+    cache.storeText(b, result);
+    ASSERT_TRUE(cache.lookupText(a).has_value()); // a is now hot
+    cache.storeText(c, result);                       // evicts b
     EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_TRUE(cache.lookup(a).has_value());
-    EXPECT_FALSE(cache.lookup(b).has_value());
-    EXPECT_TRUE(cache.lookup(c).has_value());
+    EXPECT_TRUE(cache.lookupText(a).has_value());
+    EXPECT_FALSE(cache.lookupText(b).has_value());
+    EXPECT_TRUE(cache.lookupText(c).has_value());
 }
 
 #if ECOCHIP_TEST_HAS_FORK

@@ -140,6 +140,7 @@
 #include "engine/analysis_engine.h"
 #include "engine/shard_coordinator.h"
 #include "engine/shard_runner.h"
+#include "engine/work_queue.h"
 #include "io/batch_report_io.h"
 #include "io/event_journal_io.h"
 #include "io/host_manifest_io.h"
@@ -147,6 +148,7 @@
 #include "io/result_writer.h"
 #include "io/search_io.h"
 #include "json/ondemand.h"
+#include "json/stream_writer.h"
 #include "search/search_driver.h"
 #include "server/analysis_server.h"
 #include "server/server_client.h"
@@ -732,6 +734,10 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
                     << ": " << outcome.error << "\n";
             out << "\n";
         }
+        out.flush();
+        requireConfig(static_cast<bool>(out),
+                      "cannot write markdown report: " +
+                          *opts.markdownPath);
         std::cout << "markdown report written to "
                   << *opts.markdownPath << "\n";
     }
@@ -763,15 +769,12 @@ runSearch(const CliOptions &opts, ScenarioRegistry registry)
             expanded.loadFile(*spec.catalog);
         const ScenarioSpace space(
             expanded.generator(spec.generator));
-        json::Value doc = json::Value::makeObject();
+        BatchFile batch;
         if (spec.catalog)
-            doc.set("scenarios",
-                    std::filesystem::absolute(*spec.catalog)
-                        .string());
-        doc.set("requests",
-                requestsToJson(
-                    SearchDriver::expand(spec, space)));
-        json::writeFile(doc, opts.searchExpandPath);
+            batch.scenarioCatalog =
+                std::filesystem::absolute(*spec.catalog).string();
+        batch.requests = SearchDriver::expand(spec, space);
+        writeBatchFile(batch, opts.searchExpandPath);
         std::cout << "expanded request list written to "
                   << opts.searchExpandPath << "\n";
     }
@@ -823,8 +826,9 @@ runSearch(const CliOptions &opts, ScenarioRegistry registry)
     }
 
     if (opts.jsonPath) {
-        json::writeFile(searchResultToJson(result),
-                        *opts.jsonPath);
+        json::StreamWriter writer(true);
+        appendSearchResult(writer, result);
+        json::writeFile(writer.str(), *opts.jsonPath);
         std::cout << "search result written to "
                   << *opts.jsonPath << "\n";
     }
@@ -905,49 +909,32 @@ runConnect(const CliOptions &opts)
     }
 
     // One event line per request, completion order; echo each as
-    // it arrives and slot it by index for the report document.
-    std::vector<json::Value> events(batch.requests.size());
-    std::size_t succeeded = 0;
+    // it arrives and merge it by index, exactly as the
+    // coordinator merges worker events.
+    IncrementalMerger merger(batch.requests.size());
     for (std::size_t i = 0; i < batch.requests.size(); ++i) {
         const std::string line = client.readLine();
         std::cout << line << std::endl;
-        json::Value event = json::parse(line);
-        const auto index = static_cast<std::size_t>(
-            event.at("index").asInteger());
-        requireModel(index < events.size(),
-                     "server answered an out-of-range request "
-                     "index");
-        if (event.booleanOr("ok", false))
-            ++succeeded;
-        events[index] = std::move(event);
+        JournalEntryText entry =
+            splitEventLine(line, opts.connectPath);
+        requireModel(merger.add(entry.index,
+                                std::move(entry.outcome)),
+                     "server answered a request index twice");
     }
+    const std::size_t succeeded =
+        merger.doneCount() - merger.failedCount();
 
     std::cerr << succeeded << "/" << batch.requests.size()
               << " requests ok (served over "
               << opts.connectPath << ")\n";
 
     if (opts.jsonPath) {
-        // The BatchReport document `--batch --json` writes:
-        // strip the wire-only "index", order by request index.
-        json::Value doc = json::Value::makeObject();
-        doc.set("succeeded", static_cast<double>(succeeded));
-        doc.set("failed",
-                static_cast<double>(batch.requests.size() -
-                                    succeeded));
-        json::Value outcomes = json::Value::makeArray();
-        for (const auto &event : events) {
-            json::Value outcome = json::Value::makeObject();
-            for (const auto &[key, value] : event.members())
-                if (key != "index")
-                    outcome.set(key, value);
-            outcomes.append(std::move(outcome));
-        }
-        doc.set("outcomes", std::move(outcomes));
-        json::writeFile(doc, *opts.jsonPath);
+        // The BatchReport document `--batch --json` writes.
+        json::writeFile(merger.reportText(true), *opts.jsonPath);
         std::cerr << "results written to " << *opts.jsonPath
                   << "\n";
     }
-    return succeeded == batch.requests.size() ? 0 : 1;
+    return merger.failedCount() == 0 ? 0 : 1;
 }
 
 /**
@@ -1082,15 +1069,12 @@ reportCoordinatedRun(const CliOptions &opts,
     }
 
     if (opts.jsonPath) {
-        // The same bytes json::writeFile produces, transcoded
-        // straight from the compact merge text (one scan, no
-        // DOM).
-        std::ofstream out(*opts.jsonPath, std::ios::binary);
-        requireConfig(static_cast<bool>(out),
-                      "cannot write JSON file: " + *opts.jsonPath);
-        out << json::ondemand::reserialize(result.mergedReportText,
-                                           true)
-            << '\n';
+        // The pretty layout, transcoded straight from the
+        // compact merge text (one scan, no DOM).
+        json::writeFile(
+            json::ondemand::reserialize(result.mergedReportText,
+                                        true),
+            *opts.jsonPath);
         std::cout << "merged report written to "
                   << *opts.jsonPath << "\n";
     }
@@ -1265,10 +1249,12 @@ run(const CliOptions &opts, const char *argv0)
     }
 
     if (opts.jsonPath) {
-        json::Value doc = json::Value::makeArray();
+        json::StreamWriter writer(true);
+        writer.beginArray();
         for (const auto &result : results)
-            doc.append(resultToJson(result));
-        json::writeFile(doc, *opts.jsonPath);
+            appendResult(writer, result);
+        writer.endArray();
+        json::writeFile(writer.str(), *opts.jsonPath);
         std::cout << "\nresults written to " << *opts.jsonPath
                   << "\n";
     }
@@ -1282,6 +1268,10 @@ run(const CliOptions &opts, const char *argv0)
             writeResultMarkdown(out, result);
             out << "\n";
         }
+        out.flush();
+        requireConfig(static_cast<bool>(out),
+                      "cannot write markdown report: " +
+                          *opts.markdownPath);
         std::cout << "markdown report written to "
                   << *opts.markdownPath << "\n";
     }

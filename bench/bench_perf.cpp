@@ -258,9 +258,7 @@ BM_ShardedBatch(benchmark::State &state)
     std::filesystem::create_directories(dir);
     const std::string batch_path =
         (dir / "batch.json").string();
-    json::Value doc = json::Value::makeObject();
-    doc.set("requests", requestsToJson(requests));
-    json::writeFile(doc, batch_path);
+    writeBatchFile({requests, std::nullopt}, batch_path);
 
     CoordinatorOptions options;
     options.batchPath = batch_path;
@@ -308,9 +306,7 @@ BM_DynamicCoordinatedBatch(benchmark::State &state)
     std::filesystem::create_directories(dir);
     const std::string batch_path =
         (dir / "batch.json").string();
-    json::Value doc = json::Value::makeObject();
-    doc.set("requests", requestsToJson(requests));
-    json::writeFile(doc, batch_path);
+    writeBatchFile({requests, std::nullopt}, batch_path);
 
     CoordinatorOptions options;
     options.batchPath = batch_path;
@@ -434,9 +430,7 @@ BM_DynamicSkewedHosts(benchmark::State &state)
     std::filesystem::create_directories(dir);
     const std::string batch_path =
         (dir / "batch.json").string();
-    json::Value doc = json::Value::makeObject();
-    doc.set("requests", requestsToJson(requests));
-    json::writeFile(doc, batch_path);
+    writeBatchFile({requests, std::nullopt}, batch_path);
 
     CoordinatorOptions options =
         skewedHostOptions(batch_path, kSkewPerRequestSeconds);
@@ -528,7 +522,9 @@ servedRequestLine(std::uint64_t seed)
     mc.seed = seed;
     const AnalysisRequest request{
         ScenarioRef::scenario("ga102"), mc};
-    return requestToJson(request).dump(false);
+    json::StreamWriter writer;
+    appendRequest(writer, request);
+    return writer.take();
 }
 
 void

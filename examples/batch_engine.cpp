@@ -43,8 +43,10 @@ main()
     requests.push_back({ScenarioRef::scenario("typo-scenario"),
                         EstimateSpec{}});
 
+    json::StreamWriter wire(true);
+    appendRequest(wire, requests[5]);
     std::cout << "wire format of request #5:\n"
-              << requestToJson(requests[5]).dump(true) << "\n\n";
+              << wire.take() << "\n\n";
 
     // 2. Hand the batch to the engine, which owns *how* it runs:
     //    4 workers, one shared evaluation context per distinct

@@ -60,6 +60,8 @@ main(int argc, char **argv)
               << session->system().chiplets.size() << " chiplets, "
               << toString(session->context().config().package.arch)
               << " packaging)\n\n";
-    std::cout << resultToJson(result).dump(true) << "\n";
+    json::StreamWriter writer(true);
+    appendResult(writer, result);
+    std::cout << writer.take() << "\n";
     return 0;
 }

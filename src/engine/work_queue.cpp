@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <utility>
@@ -123,37 +122,25 @@ writeChunkFiles(const BatchFile &batch, const ChunkPlan &plan,
     // The catalog path was resolved against the original batch
     // file, but may still be cwd-relative; the sub-batches live
     // in another directory, so pin it down to an absolute path.
-    std::string catalog;
+    BatchFile chunk_batch;
     if (batch.scenarioCatalog)
-        catalog = std::filesystem::absolute(*batch.scenarioCatalog)
-                      .lexically_normal()
-                      .string();
+        chunk_batch.scenarioCatalog =
+            std::filesystem::absolute(*batch.scenarioCatalog)
+                .lexically_normal()
+                .string();
 
     std::vector<std::string> paths;
     paths.reserve(plan.chunkCount());
-    json::StreamWriter writer(true);
     for (std::size_t c = 0; c < plan.chunkCount(); ++c) {
-        writer.beginObject();
-        if (!catalog.empty()) {
-            writer.key("scenarios");
-            writer.string(catalog);
-        }
-        writer.key("requests");
-        writer.beginArray();
+        chunk_batch.requests.clear();
         for (std::size_t index : plan.chunks[c])
-            appendRequest(writer, batch.requests[index]);
-        writer.endArray();
-        writer.endObject();
+            chunk_batch.requests.push_back(batch.requests[index]);
 
         char name[32];
         std::snprintf(name, sizeof(name), "chunk_%03zu.json", c);
-        const std::string path =
-            (std::filesystem::path(directory) / name).string();
-        std::ofstream out(path, std::ios::binary);
-        requireConfig(static_cast<bool>(out),
-                      "cannot write JSON file: " + path);
-        out << writer.take() << '\n';
-        paths.push_back(path);
+        paths.push_back(
+            (std::filesystem::path(directory) / name).string());
+        writeBatchFile(chunk_batch, paths.back());
     }
     return paths;
 }

@@ -1,10 +1,7 @@
 #include "io/batch_report_io.h"
 
-#include <fstream>
-
 #include "io/request_io.h"
 #include "io/result_writer.h"
-#include "support/error.h"
 
 namespace ecochip {
 
@@ -72,10 +69,7 @@ void
 writeBatchReportFile(const BatchReport &report,
                      const std::string &path)
 {
-    std::ofstream out(path, std::ios::binary);
-    requireConfig(static_cast<bool>(out),
-                  "cannot write JSON file: " + path);
-    out << batchReportText(report, true) << '\n';
+    json::writeFile(batchReportText(report, true), path);
 }
 
 std::string

@@ -89,28 +89,6 @@ systemFromJson(const json::Value &doc, const TechDb &tech,
     return system;
 }
 
-json::Value
-systemToJson(const SystemSpec &system)
-{
-    json::Value doc = json::Value::makeObject();
-    doc.set("name", system.name);
-    doc.set("monolithic", system.singleDie);
-    json::Value chiplets = json::Value::makeArray();
-    for (const auto &chiplet : system.chiplets) {
-        json::Value entry = json::Value::makeObject();
-        entry.set("name", chiplet.name);
-        entry.set("type", toString(chiplet.type));
-        entry.set("node_nm", chiplet.nodeNm);
-        entry.set("transistors_mtr", chiplet.transistorsMtr);
-        entry.set("reused", chiplet.reused);
-        if (!chiplet.stackGroup.empty())
-            entry.set("stack_group", chiplet.stackGroup);
-        chiplets.append(std::move(entry));
-    }
-    doc.set("chiplets", std::move(chiplets));
-    return doc;
-}
-
 PackageParams
 packageParamsFromJson(const json::Value &doc,
                       const std::string &context)
@@ -202,45 +180,6 @@ packageParamsFromJson(const json::Value &doc,
     return params;
 }
 
-json::Value
-packageParamsToJson(const PackageParams &params)
-{
-    json::Value doc = json::Value::makeObject();
-    doc.set("arch", toString(params.arch));
-    doc.set("intensity_g_per_kwh", params.intensityGPerKwh);
-    doc.set("spacing_mm", params.spacingMm);
-    doc.set("rdl_layers", params.rdlLayers);
-    doc.set("rdl_node_nm", params.rdlNodeNm);
-    doc.set("substrate_base_layers", params.substrateBaseLayers);
-    doc.set("bridge_layers", params.bridgeLayers);
-    doc.set("bridge_node_nm", params.bridgeNodeNm);
-    doc.set("bridge_range_mm", params.bridgeRangeMm);
-    doc.set("bridge_area_mm2", params.bridgeAreaMm2);
-    doc.set("bridge_embed_yield", params.bridgeEmbedYield);
-    doc.set("interposer_node_nm", params.interposerNodeNm);
-    doc.set("interposer_beol_layers", params.interposerBeolLayers);
-    doc.set("repeater_area_fraction", params.repeaterAreaFraction);
-    doc.set("bond_type", toString(params.bondType));
-    doc.set("tsv_pitch_um", params.tsvPitchUm);
-    doc.set("microbump_pitch_um", params.microbumpPitchUm);
-    doc.set("hybrid_bond_pitch_um", params.hybridBondPitchUm);
-    doc.set("tsv_fail_probability", params.tsvFailProbability);
-    doc.set("microbump_fail_probability",
-            params.microbumpFailProbability);
-    doc.set("hybrid_bond_fail_probability",
-            params.hybridBondFailProbability);
-    doc.set("tier_assembly_yield", params.tierAssemblyYield);
-    doc.set("bond_process_node_nm", params.bondProcessNodeNm);
-    json::Value router = json::Value::makeObject();
-    router.set("ports", params.router.ports);
-    router.set("flit_width_bits", params.router.flitWidthBits);
-    router.set("buffers_per_vc", params.router.buffersPerVc);
-    router.set("virtual_channels", params.router.virtualChannels);
-    doc.set("router", std::move(router));
-    doc.set("noc_flit_rate_hz", params.nocFlitRateHz);
-    return doc;
-}
-
 DesignParams
 designParamsFromJson(const json::Value &doc,
                      const std::string &context)
@@ -274,22 +213,6 @@ designParamsFromJson(const json::Value &doc,
     return params;
 }
 
-json::Value
-designParamsToJson(const DesignParams &params)
-{
-    json::Value doc = json::Value::makeObject();
-    doc.set("pdes_w", params.pdesW);
-    doc.set("design_iterations", params.designIterations);
-    doc.set("intensity_g_per_kwh", params.intensityGPerKwh);
-    doc.set("spr_hours_per_mgate", params.sprHoursPerMgate);
-    doc.set("analyze_fraction", params.analyzeFraction);
-    doc.set("verif_multiple", params.verifMultiple);
-    doc.set("gates_per_transistor", params.gatesPerTransistor);
-    doc.set("chiplet_volume", params.chipletVolume);
-    doc.set("system_volume", params.systemVolume);
-    return doc;
-}
-
 OperatingSpec
 operatingSpecFromJson(const json::Value &doc,
                       const std::string &context)
@@ -317,22 +240,6 @@ operatingSpecFromJson(const json::Value &doc,
         spec.annualEnergyKwh =
             doc.at("annual_energy_kwh").asNumber();
     return spec;
-}
-
-json::Value
-operatingSpecToJson(const OperatingSpec &spec)
-{
-    json::Value doc = json::Value::makeObject();
-    doc.set("lifetime_years", spec.lifetimeYears);
-    doc.set("duty_cycle", spec.dutyCycle);
-    doc.set("avg_frequency_hz", spec.avgFrequencyHz);
-    doc.set("switching_activity", spec.switchingActivity);
-    doc.set("intensity_g_per_kwh", spec.useIntensityGPerKwh);
-    if (spec.avgPowerW)
-        doc.set("avg_power_w", *spec.avgPowerW);
-    if (spec.annualEnergyKwh)
-        doc.set("annual_energy_kwh", *spec.annualEnergyKwh);
-    return doc;
 }
 
 DesignBundle

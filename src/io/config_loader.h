@@ -67,9 +67,6 @@ SystemSpec systemFromJson(const json::Value &doc,
                           const std::string &context =
                               "architecture.json");
 
-/** Serialize a SystemSpec back to the architecture schema. */
-json::Value systemToJson(const SystemSpec &system);
-
 /**
  * Parse PackageParams from a `packageC.json` document; missing
  * keys keep their defaults, unknown keys are rejected.
@@ -78,24 +75,15 @@ PackageParams packageParamsFromJson(const json::Value &doc,
                                     const std::string &context =
                                         "packageC.json");
 
-/** Serialize PackageParams to the packageC schema. */
-json::Value packageParamsToJson(const PackageParams &params);
-
 /** Parse DesignParams from a `designC.json` document. */
 DesignParams designParamsFromJson(const json::Value &doc,
                                   const std::string &context =
                                       "designC.json");
 
-/** Serialize DesignParams. */
-json::Value designParamsToJson(const DesignParams &params);
-
 /** Parse an OperatingSpec from an `operationalC.json` document. */
 OperatingSpec operatingSpecFromJson(const json::Value &doc,
                                     const std::string &context =
                                         "operationalC.json");
-
-/** Serialize an OperatingSpec. */
-json::Value operatingSpecToJson(const OperatingSpec &spec);
 
 /** A fully loaded design directory. */
 struct DesignBundle

@@ -164,23 +164,6 @@ hostManifestFromJson(const json::Value &doc,
     return manifest;
 }
 
-json::Value
-hostManifestToJson(const HostManifest &manifest)
-{
-    json::Value hosts = json::Value::makeArray();
-    for (const auto &host : manifest.hosts) {
-        json::Value entry = json::Value::makeObject();
-        entry.set("name", host.name);
-        entry.set("slots", host.slots);
-        if (!host.command.empty())
-            entry.set("command", host.command);
-        hosts.append(std::move(entry));
-    }
-    json::Value doc = json::Value::makeObject();
-    doc.set("hosts", std::move(hosts));
-    return doc;
-}
-
 HostManifest
 loadHostManifest(const std::string &path)
 {

@@ -115,9 +115,6 @@ HostManifest hostManifestFromJson(const json::Value &doc,
                                   const std::string &context =
                                       "hosts.json");
 
-/** Serialize a manifest back to the `hosts.json` schema. */
-json::Value hostManifestToJson(const HostManifest &manifest);
-
 /** Load and validate a `hosts.json` file. */
 HostManifest loadHostManifest(const std::string &path);
 

@@ -9,11 +9,7 @@ namespace ecochip {
 
 namespace {
 
-/*
- * The append* emitters below are the single source of truth for
- * the request wire format; every *ToJson sibling parses their
- * output, so the DOM and streaming serializations cannot drift.
- */
+/* The append* emitters below are the request wire format. */
 
 void
 appendCostParams(json::StreamWriter &writer,
@@ -60,14 +56,6 @@ appendUncertaintyBands(json::StreamWriter &writer,
 }
 
 } // namespace
-
-json::Value
-costParamsToJson(const CostParams &params)
-{
-    json::StreamWriter writer;
-    appendCostParams(writer, params);
-    return json::parse(writer.take());
-}
 
 CostParams
 costParamsFromJson(const json::Value &doc,
@@ -233,14 +221,6 @@ appendRequest(json::StreamWriter &writer,
     writer.endObject();
 }
 
-json::Value
-requestToJson(const AnalysisRequest &request)
-{
-    json::StreamWriter writer;
-    appendRequest(writer, request);
-    return json::parse(writer.take());
-}
-
 AnalysisRequest
 requestFromJson(const json::Value &doc,
                 const std::string &context)
@@ -397,15 +377,6 @@ requestsFromJson(const json::Value &doc,
     return requests;
 }
 
-json::Value
-requestsToJson(const std::vector<AnalysisRequest> &requests)
-{
-    json::Value arr = json::Value::makeArray();
-    for (const auto &request : requests)
-        arr.append(requestToJson(request));
-    return arr;
-}
-
 std::string
 canonicalRequestText(const AnalysisRequest &request)
 {
@@ -449,6 +420,24 @@ loadBatchFile(const std::string &path)
     }
     batch.requests = requestsFromJson(doc, path);
     return batch;
+}
+
+void
+writeBatchFile(const BatchFile &batch, const std::string &path)
+{
+    json::StreamWriter writer(true);
+    writer.beginObject();
+    if (batch.scenarioCatalog) {
+        writer.key("scenarios");
+        writer.string(*batch.scenarioCatalog);
+    }
+    writer.key("requests");
+    writer.beginArray();
+    for (const auto &request : batch.requests)
+        appendRequest(writer, request);
+    writer.endArray();
+    writer.endObject();
+    json::writeFile(writer.str(), path);
 }
 
 } // namespace ecochip

@@ -37,14 +37,11 @@ namespace ecochip {
 
 /**
  * Emit one request document through the streaming writer -- the
- * primary request serializer; `requestToJson` is a DOM wrapper
- * over it, so the two cannot drift.
+ * one request serializer (batch files, chunk files, the served
+ * wire, and the canonical cache-key text all go through it).
  */
 void appendRequest(json::StreamWriter &writer,
                    const AnalysisRequest &request);
-
-/** Serialize one request to its JSON document. */
-json::Value requestToJson(const AnalysisRequest &request);
 
 /**
  * Parse one request document.
@@ -65,10 +62,6 @@ AnalysisRequest requestFromJson(const json::Value &doc,
 std::vector<AnalysisRequest>
 requestsFromJson(const json::Value &doc,
                  const std::string &context = "requests");
-
-/** Serialize a request list to a top-level array. */
-json::Value requestsToJson(
-    const std::vector<AnalysisRequest> &requests);
 
 /**
  * Canonical text of one request -- the single serialization that
@@ -106,8 +99,17 @@ struct BatchFile
  */
 BatchFile loadBatchFile(const std::string &path);
 
-/** Serialize CostParams (the `cost` spec's `params` member). */
-json::Value costParamsToJson(const CostParams &params);
+/**
+ * Write @p batch as a pretty batch document -- the inverse of
+ * `loadBatchFile`: `{"scenarios": ..., "requests": [...]}`, the
+ * `scenarios` member only when the batch names a catalog. The
+ * catalog path is written as given; `loadBatchFile` resolves a
+ * relative one against the file's directory, so callers that
+ * move a batch write it absolute.
+ *
+ * @throws ConfigError when @p path cannot be written.
+ */
+void writeBatchFile(const BatchFile &batch, const std::string &path);
 
 /** Parse CostParams; missing keys keep their defaults. */
 CostParams costParamsFromJson(const json::Value &doc,

@@ -15,12 +15,6 @@ num(double value, int precision = 3)
     return TablePrinter::formatNumber(value, precision);
 }
 
-/*
- * The append* emitters are the single source of truth for the
- * result wire format; resultToJson parses their output, so the
- * DOM view cannot drift from the bytes.
- */
-
 void
 appendExplorationPoint(json::StreamWriter &writer,
                        const ExplorationPoint &point)
@@ -184,14 +178,6 @@ appendResult(json::StreamWriter &writer,
         break;
     }
     writer.endObject();
-}
-
-json::Value
-resultToJson(const AnalysisResult &result)
-{
-    json::StreamWriter writer;
-    appendResult(writer, result);
-    return json::parse(writer.take());
 }
 
 namespace {

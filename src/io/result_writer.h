@@ -11,7 +11,6 @@
 #include <ostream>
 #include <string>
 
-#include "json/json.h"
 #include "json/stream_writer.h"
 #include "session/analysis_result.h"
 
@@ -19,21 +18,15 @@ namespace ecochip {
 
 /**
  * Emit any analysis result through the streaming writer -- the
- * primary result serializer on the wire path (worker outcome
- * streams, server responses). `resultToJson` is a DOM wrapper
- * over it, so the two cannot drift.
- */
-void appendResult(json::StreamWriter &writer,
-                  const AnalysisResult &result);
-
-/**
- * Serialize any analysis result to JSON.
+ * one result serializer (`--json` files, worker outcome streams,
+ * server responses).
  *
  * The document always carries `kind`, `scenario`, and `detail`;
  * the verb-specific payload lands under a key named after the
  * kind (`report`, `sweep`, `uncertainty`, `sensitivity`, `cost`).
  */
-json::Value resultToJson(const AnalysisResult &result);
+void appendResult(json::StreamWriter &writer,
+                  const AnalysisResult &result);
 
 /** Emit the distribution summary of one sampled metric. */
 void appendSampleStats(json::StreamWriter &writer,

@@ -61,21 +61,6 @@ strategyFromJson(const json::Value &doc,
     return spec;
 }
 
-json::Value
-strategyToJson(const StrategySpec &spec)
-{
-    // Every knob always, in one fixed order: the round trip is
-    // lossless whichever strategy is selected.
-    json::Value doc = json::Value::makeObject();
-    doc.set("kind", toString(spec.kind));
-    doc.set("seed", static_cast<double>(spec.seed));
-    doc.set("restarts", spec.restarts);
-    doc.set("steps", spec.steps);
-    doc.set("initial_temp", spec.initialTemp);
-    doc.set("cooling", spec.cooling);
-    return doc;
-}
-
 ObjectiveSpec
 objectiveFromJson(const json::Value &doc,
                   const std::string &context)
@@ -117,59 +102,22 @@ constraintFromJson(const json::Value &doc,
     return spec;
 }
 
-/** Metric values of one point as an ordered JSON object. */
-json::Value
-metricsToJson(const EvaluatedPoint &point,
+/** The `metrics` member: one point's values, tracked order. */
+void
+appendMetrics(json::StreamWriter &writer,
+              const EvaluatedPoint &point,
               const std::vector<SearchMetric> &tracked)
 {
-    json::Value doc = json::Value::makeObject();
-    for (std::size_t i = 0; i < tracked.size(); ++i)
-        doc.set(toString(tracked[i]), point.metrics[i]);
-    return doc;
+    writer.key("metrics");
+    writer.beginObject();
+    for (std::size_t i = 0; i < tracked.size(); ++i) {
+        writer.key(toString(tracked[i]));
+        writer.number(point.metrics[i]);
+    }
+    writer.endObject();
 }
 
 } // namespace
-
-json::Value
-searchSpecToJson(const SearchSpec &spec)
-{
-    json::Value doc = json::Value::makeObject();
-    doc.set("generator", spec.generator);
-    if (spec.catalog)
-        doc.set("scenarios", *spec.catalog);
-    doc.set("strategy", strategyToJson(spec.strategy));
-
-    json::Value objectives = json::Value::makeArray();
-    for (const auto &objective : spec.objectives) {
-        json::Value entry = json::Value::makeObject();
-        entry.set("metric", toString(objective.metric));
-        entry.set("goal",
-                  objective.maximize ? "max" : "min");
-        entry.set("weight", objective.weight);
-        objectives.append(std::move(entry));
-    }
-    doc.set("objectives", std::move(objectives));
-
-    if (!spec.constraints.empty()) {
-        json::Value constraints = json::Value::makeArray();
-        for (const auto &constraint : spec.constraints) {
-            json::Value entry = json::Value::makeObject();
-            entry.set("metric", toString(constraint.metric));
-            if (constraint.min)
-                entry.set("min", *constraint.min);
-            if (constraint.max)
-                entry.set("max", *constraint.max);
-            constraints.append(std::move(entry));
-        }
-        doc.set("constraints", std::move(constraints));
-    }
-
-    doc.set("batch_size", spec.batchSize);
-    if (spec.costParams)
-        doc.set("cost_params",
-                costParamsToJson(*spec.costParams));
-    return doc;
-}
 
 SearchSpec
 searchSpecFromJson(const json::Value &doc,
@@ -251,62 +199,77 @@ loadSearchSpecFile(const std::string &path)
     return spec;
 }
 
-json::Value
-searchResultToJson(const SearchResult &result)
+void
+appendSearchResult(json::StreamWriter &writer,
+                   const SearchResult &result)
 {
     const auto tracked = trackedMetrics(result.spec);
 
-    json::Value doc = json::Value::makeObject();
-    doc.set("generator", result.spec.generator);
-    doc.set("strategy", toString(result.spec.strategy.kind));
-    doc.set("seed",
-            static_cast<double>(result.spec.strategy.seed));
-    doc.set("space_size",
-            static_cast<double>(result.spaceSize));
-    doc.set("evaluations",
-            static_cast<double>(result.evaluated.size()));
+    writer.beginObject();
+    writer.key("generator");
+    writer.string(result.spec.generator);
+    writer.key("strategy");
+    writer.string(toString(result.spec.strategy.kind));
+    writer.key("seed");
+    writer.number(static_cast<double>(result.spec.strategy.seed));
+    writer.key("space_size");
+    writer.number(static_cast<double>(result.spaceSize));
+    writer.key("evaluations");
+    writer.number(static_cast<double>(result.evaluated.size()));
 
+    writer.key("best");
     if (result.best) {
         const EvaluatedPoint &best =
             result.evaluated[*result.best];
-        json::Value entry = json::Value::makeObject();
-        entry.set("scenario", best.name);
-        entry.set("score", best.score);
-        entry.set("metrics", metricsToJson(best, tracked));
-        doc.set("best", std::move(entry));
+        writer.beginObject();
+        writer.key("scenario");
+        writer.string(best.name);
+        writer.key("score");
+        writer.number(best.score);
+        appendMetrics(writer, best, tracked);
+        writer.endObject();
     } else {
-        doc.set("best", json::Value());
+        writer.null();
     }
 
-    json::Value frontier = json::Value::makeArray();
+    writer.key("frontier");
+    writer.beginArray();
     for (const std::size_t slot : result.frontier) {
         const EvaluatedPoint &point = result.evaluated[slot];
-        json::Value entry = json::Value::makeObject();
-        entry.set("scenario", point.name);
-        entry.set("metrics", metricsToJson(point, tracked));
-        frontier.append(std::move(entry));
+        writer.beginObject();
+        writer.key("scenario");
+        writer.string(point.name);
+        appendMetrics(writer, point, tracked);
+        writer.endObject();
     }
-    doc.set("frontier", std::move(frontier));
+    writer.endArray();
 
-    json::Value points = json::Value::makeArray();
+    writer.key("points");
+    writer.beginArray();
     for (const EvaluatedPoint &point : result.evaluated) {
-        json::Value entry = json::Value::makeObject();
-        entry.set("scenario", point.name);
-        entry.set("ok", point.ok);
-        entry.set("feasible", point.feasible);
+        writer.beginObject();
+        writer.key("scenario");
+        writer.string(point.name);
+        writer.key("ok");
+        writer.boolean(point.ok);
+        writer.key("feasible");
+        writer.boolean(point.feasible);
         // +inf (infeasible/failed) has no JSON spelling; the
         // feasible flag already says why the score is absent.
-        if (std::isfinite(point.score))
-            entry.set("score", point.score);
-        if (!point.ok)
-            entry.set("error", point.error);
-        else
-            entry.set("metrics",
-                      metricsToJson(point, tracked));
-        points.append(std::move(entry));
+        if (std::isfinite(point.score)) {
+            writer.key("score");
+            writer.number(point.score);
+        }
+        if (!point.ok) {
+            writer.key("error");
+            writer.string(point.error);
+        } else {
+            appendMetrics(writer, point, tracked);
+        }
+        writer.endObject();
     }
-    doc.set("points", std::move(points));
-    return doc;
+    writer.endArray();
+    writer.endObject();
 }
 
 } // namespace ecochip

@@ -23,9 +23,8 @@
  * The optional `scenarios` catalog (resolved relative to the spec
  * file, exactly like batch files) is where the generator is
  * declared. Unknown keys are rejected with the file and key
- * named, mirroring `request_io.h`; `searchSpecFromJson` /
- * `searchSpecToJson` round-trip losslessly. Field-by-field
- * reference: `docs/search.md`.
+ * named, mirroring `request_io.h`. Specs are input only: there is
+ * no spec writer. Field-by-field reference: `docs/search.md`.
  */
 
 #ifndef ECOCHIP_IO_SEARCH_IO_H
@@ -34,12 +33,10 @@
 #include <string>
 
 #include "json/json.h"
+#include "json/stream_writer.h"
 #include "search/search_driver.h"
 
 namespace ecochip {
-
-/** Serialize a search spec to its JSON document. */
-json::Value searchSpecToJson(const SearchSpec &spec);
 
 /**
  * Parse a search spec document.
@@ -60,13 +57,15 @@ SearchSpec searchSpecFromJson(const json::Value &doc,
 SearchSpec loadSearchSpecFile(const std::string &path);
 
 /**
- * Serialize a search result: space/evaluation counts, the best
- * scalarized point, the Pareto frontier (objective vectors
- * included), and every visited point with its metric values in
- * evaluation order. Non-finite scores (infeasible points) are
- * omitted rather than printed, keeping the document valid JSON.
+ * Emit a search result through the streaming writer:
+ * space/evaluation counts, the best scalarized point, the Pareto
+ * frontier (objective vectors included), and every visited point
+ * with its metric values in evaluation order. Non-finite scores
+ * (infeasible points) are omitted rather than printed, keeping
+ * the document valid JSON.
  */
-json::Value searchResultToJson(const SearchResult &result);
+void appendSearchResult(json::StreamWriter &writer,
+                        const SearchResult &result);
 
 } // namespace ecochip
 

@@ -420,12 +420,13 @@ parseFile(const std::string &path)
 }
 
 void
-writeFile(const Value &value, const std::string &path)
+writeFile(std::string_view text, const std::string &path)
 {
     std::ofstream out(path, std::ios::binary);
+    out << text << '\n';
+    out.flush();
     requireConfig(static_cast<bool>(out),
                   "cannot write JSON file: " + path);
-    out << value.dump(true) << '\n';
 }
 
 } // namespace ecochip::json

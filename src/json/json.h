@@ -250,12 +250,15 @@ Value parse(const std::string &text);
 Value parseFile(const std::string &path);
 
 /**
- * Write a value to a file as pretty-printed JSON.
+ * Write one finished JSON document to a file, followed by a
+ * newline -- the one file writer every JSON file goes through.
  *
- * @param value Root value to serialize.
+ * @param text Serialized document (a `StreamWriter`'s output).
  * @param path Destination path (overwritten).
+ * @throws ConfigError("cannot write JSON file: PATH") when the
+ *         file cannot be opened or any byte fails to reach it.
  */
-void writeFile(const Value &value, const std::string &path);
+void writeFile(std::string_view text, const std::string &path);
 
 } // namespace ecochip::json
 

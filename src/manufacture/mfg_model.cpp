@@ -1,5 +1,6 @@
 #include "manufacture/mfg_model.h"
 
+#include "json/json.h"
 #include "support/error.h"
 #include "support/units.h"
 
@@ -44,7 +45,7 @@ ManufacturingModel::dieMfg(double area_mm2, double node_nm) const
     // once per die candidate in the sweep/Monte-Carlo hot loops.
     if (result.diesPerWafer <= 0)
         requireConfig(false,
-                      "die of " + std::to_string(area_mm2) +
+                      "die of " + json::formatNumber(area_mm2) +
                           " mm^2 does not fit the wafer");
     if (includeWastage_) {
         result.wastedAreaMm2 = wafer_.wastedAreaPerDieMm2(area_mm2);

@@ -394,42 +394,41 @@ AnalysisServer::Impl::handleLine(int fd, Connection &conn,
         } catch (const std::exception &) {
             verb = "";
         }
-        json::Value reply = json::Value::makeObject();
-        reply.set("control", verb);
+        json::StreamWriter reply;
+        reply.beginObject();
+        reply.key("control");
+        reply.string(verb);
+        const auto count = [&reply](std::string_view name,
+                                    std::uint64_t value) {
+            reply.key(name);
+            reply.number(static_cast<double>(value));
+        };
         if (verb == "stats") {
-            reply.set("served",
-                      static_cast<double>(stats.served));
-            reply.set("failed",
-                      static_cast<double>(stats.failed));
-            reply.set("malformed",
-                      static_cast<double>(stats.malformed));
-            reply.set("connections",
-                      static_cast<double>(stats.connections));
-            reply.set("contexts",
-                      static_cast<double>(
-                          engine->contextCount()));
-            reply.set("cache_enabled",
-                      static_cast<bool>(cache));
+            count("served", stats.served);
+            count("failed", stats.failed);
+            count("malformed", stats.malformed);
+            count("connections", stats.connections);
+            count("contexts", engine->contextCount());
+            reply.key("cache_enabled");
+            reply.boolean(static_cast<bool>(cache));
             const ResultCacheStats cache_stats =
                 cache ? cache->stats() : ResultCacheStats{};
-            reply.set("hits",
-                      static_cast<double>(cache_stats.hits));
-            reply.set("misses",
-                      static_cast<double>(cache_stats.misses));
-            reply.set("evictions", static_cast<double>(
-                                       cache_stats.evictions));
-            reply.set("entries",
-                      static_cast<double>(cache_stats.entries));
+            count("hits", cache_stats.hits);
+            count("misses", cache_stats.misses);
+            count("evictions", cache_stats.evictions);
+            count("entries", cache_stats.entries);
         } else if (verb == "shutdown") {
-            reply.set("draining", true);
+            reply.key("draining");
+            reply.boolean(true);
             stopRequested.store(true);
         } else {
             ++stats.malformed;
-            reply.set("error",
-                      "unknown control verb; known verbs: "
-                      "stats, shutdown");
+            reply.key("error");
+            reply.string("unknown control verb; known verbs: "
+                         "stats, shutdown");
         }
-        conn.outbuf += reply.dump(false) + "\n";
+        reply.endObject();
+        conn.outbuf += reply.take() + "\n";
         return;
     }
 

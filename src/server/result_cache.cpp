@@ -8,6 +8,7 @@
 
 #include "io/request_io.h"
 #include "json/ondemand.h"
+#include "json/stream_writer.h"
 #include "support/error.h"
 #include "support/sha256.h"
 
@@ -210,18 +211,24 @@ ResultCache::evictDownTo(std::size_t max_entries)
 void
 ResultCache::flushIndex()
 {
-    json::Value doc = json::Value::makeObject();
-    doc.set("version", 1);
-    json::Value entries = json::Value::makeArray();
+    json::StreamWriter writer(true);
+    writer.beginObject();
+    writer.key("version");
+    writer.number(1);
+    writer.key("entries");
+    writer.beginArray();
     for (const auto &[key, tick] : lastUse_) {
-        json::Value entry = json::Value::makeObject();
-        entry.set("key", key);
-        entry.set("tick", static_cast<double>(tick));
-        entries.append(std::move(entry));
+        writer.beginObject();
+        writer.key("key");
+        writer.string(key);
+        writer.key("tick");
+        writer.number(static_cast<double>(tick));
+        writer.endObject();
     }
-    doc.set("entries", std::move(entries));
+    writer.endArray();
+    writer.endObject();
     json::writeFile(
-        doc,
+        writer.str(),
         (fs::path(options_.directory) / "index.json").string());
 }
 

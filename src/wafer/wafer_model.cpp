@@ -1,8 +1,10 @@
 #include "wafer/wafer_model.h"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
+#include "json/json.h"
 #include "support/error.h"
 
 namespace ecochip {
@@ -32,8 +34,13 @@ WaferModel::diesPerWafer(double die_area_mm2) const
         return 0;
     const double usable_area_mm2 =
         std::numbers::pi * usable_radius_mm * usable_radius_mm;
-    return static_cast<long>(
-        std::floor(usable_area_mm2 / die_area_mm2));
+    const double dies = std::floor(usable_area_mm2 / die_area_mm2);
+    // The cast is undefined from 2^63 up (or on inf).
+    if (!(dies < std::ldexp(1.0, std::numeric_limits<long>::digits)))
+        throw ConfigError("die of " + json::formatNumber(die_area_mm2) +
+                          " mm^2 is too small: its dies-per-wafer "
+                          "count does not fit in a long");
+    return static_cast<long>(dies);
 }
 
 double

@@ -42,6 +42,8 @@ class WaferModel
      * @param die_area_mm2 Die area in mm^2.
      * @return Whole dies extracted per wafer (0 when the die cannot
      *         fit).
+     * @throws ConfigError when the count does not fit in a long
+     *         (a vanishingly small die).
      */
     long diesPerWafer(double die_area_mm2) const;
 

@@ -29,6 +29,7 @@
 #include "io/request_io.h"
 #include "io/result_writer.h"
 #include "json/ondemand.h"
+#include "json/stream_writer.h"
 #include "support/error.h"
 #include "support/test_transport.h"
 
@@ -38,6 +39,15 @@
 
 namespace ecochip {
 namespace {
+
+/** The compact wire text of one request. */
+std::string
+requestText(const AnalysisRequest &request)
+{
+    json::StreamWriter writer;
+    appendRequest(writer, request);
+    return writer.take();
+}
 
 void
 expectSameReport(const CarbonReport &expected,
@@ -78,10 +88,13 @@ TEST(Engine, BatchOfBuiltinEstimatesMatchesSequentialSessions)
                             EstimateSpec{}});
 
     // serialize -> parse -> equal results.
-    const json::Value wire = requestsToJson(requests);
+    json::StreamWriter wire(true);
+    wire.beginArray();
+    for (const auto &request : requests)
+        appendRequest(wire, request);
+    wire.endArray();
     const std::vector<AnalysisRequest> parsed =
-        requestsFromJson(json::parse(wire.dump(true)),
-                         "round-trip");
+        requestsFromJson(json::parse(wire.take()), "round-trip");
     ASSERT_EQ(parsed.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i)
         EXPECT_TRUE(parsed[i] == requests[i]) << names[i];
@@ -144,9 +157,10 @@ TEST(Engine, ThreadCountsAreBitIdenticalForEqualSeeds)
         EXPECT_EQ(ra.scenario, rb.scenario);
         // One serialization path -> byte-equal JSON is the
         // strongest cheap bit-identity check across payloads.
-        EXPECT_EQ(resultToJson(ra).dump(true),
-                  resultToJson(rb).dump(true))
-            << i;
+        json::StreamWriter wa, wb;
+        appendResult(wa, ra);
+        appendResult(wb, rb);
+        EXPECT_EQ(wa.take(), wb.take()) << i;
     }
 }
 
@@ -260,11 +274,10 @@ TEST(RequestIo, EveryKindRoundTripsThroughJson)
     requests.push_back({ScenarioRef::scenario("arvr-2k"), cost});
 
     for (const auto &request : requests) {
-        const json::Value doc = requestToJson(request);
-        const AnalysisRequest parsed = requestFromJson(
-            json::parse(doc.dump(true)));
-        EXPECT_TRUE(parsed == request)
-            << doc.dump(true);
+        const std::string text = requestText(request);
+        const AnalysisRequest parsed =
+            requestFromJson(json::parse(text));
+        EXPECT_TRUE(parsed == request) << text;
         EXPECT_EQ(parsed.kind(), request.kind());
     }
 }
@@ -317,6 +330,77 @@ TEST(RequestIo, RejectsMalformedRequests)
                  ConfigError);
 }
 
+/** Contents of the file at @p path. */
+std::string
+slurp(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(RequestIo, WriteBatchFileBytesAndRoundTrip)
+{
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "ecochip_write_batch_file";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    SweepSpec sweep;
+    sweep.nodesNm = {7.0, 10.0};
+    BatchFile batch;
+    batch.requests = {
+        {ScenarioRef::scenario("ga102"), EstimateSpec{}},
+        {ScenarioRef::designDirectory("designs/x"), sweep},
+        {ScenarioRef::scenario("a15"),
+         MonteCarloSpec{8, 3, 1, {}}},
+    };
+    const std::string requests_text = R"(    "requests": [
+        {
+            "scenario": "ga102",
+            "analysis": "estimate"
+        },
+        {
+            "design_dir": "designs/x",
+            "analysis": "sweep",
+            "nodes_nm": [
+                7,
+                10
+            ]
+        },
+        {
+            "scenario": "a15",
+            "analysis": "monte_carlo",
+            "trials": 8,
+            "seed": 3,
+            "threads": 1
+        }
+    ]
+}
+)";
+
+    const auto plain = dir / "plain.json";
+    writeBatchFile(batch, plain.string());
+    EXPECT_EQ(slurp(plain), "{\n" + requests_text);
+    const BatchFile plain_back = loadBatchFile(plain.string());
+    EXPECT_FALSE(plain_back.scenarioCatalog.has_value());
+    EXPECT_TRUE(plain_back.requests == batch.requests);
+
+    batch.scenarioCatalog = (dir / "catalog.json").string();
+    const auto with_catalog = dir / "with_catalog.json";
+    writeBatchFile(batch, with_catalog.string());
+    EXPECT_EQ(slurp(with_catalog),
+              "{\n    \"scenarios\": \"" + *batch.scenarioCatalog +
+                  "\",\n" + requests_text);
+    const BatchFile catalog_back =
+        loadBatchFile(with_catalog.string());
+    EXPECT_EQ(catalog_back.scenarioCatalog, batch.scenarioCatalog);
+    EXPECT_TRUE(catalog_back.requests == batch.requests);
+
+    std::filesystem::remove_all(dir);
+}
+
 TEST(RequestIo, GuardsAgainstLossyNumericConversions)
 {
     // JSON numbers are doubles: a seed above 2^53 cannot
@@ -324,8 +408,7 @@ TEST(RequestIo, GuardsAgainstLossyNumericConversions)
     MonteCarloSpec big_seed;
     big_seed.seed = (std::uint64_t{1} << 53) + 2;
     EXPECT_THROW(
-        requestToJson({ScenarioRef::scenario("ga102"),
-                       big_seed}),
+        requestText({ScenarioRef::scenario("ga102"), big_seed}),
         ConfigError);
 
     // Non-integral trial/seed/thread counts must not silently
@@ -749,9 +832,7 @@ TEST(ShardRunner, FailedRequestsSurviveTheShardCut)
     };
     const std::string batch_path =
         (dir / "batch.json").string();
-    json::Value doc = json::Value::makeObject();
-    doc.set("requests", requestsToJson(requests));
-    json::writeFile(doc, batch_path);
+    writeBatchFile({requests, std::nullopt}, batch_path);
 
     CoordinatorOptions options = shardOptions(batch_path, 3);
     options.shardDir = (dir / "shards").string();
@@ -1072,9 +1153,7 @@ TEST(Coordinator, RequestLevelFailuresAreDataNotRetries)
     };
     const std::string batch_path =
         (dir / "batch.json").string();
-    json::Value doc = json::Value::makeObject();
-    doc.set("requests", requestsToJson(requests));
-    json::writeFile(doc, batch_path);
+    writeBatchFile({requests, std::nullopt}, batch_path);
 
     auto transport = std::make_shared<TestTransport>();
     CoordinatorOptions options =
@@ -1582,9 +1661,7 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
     };
     const std::string batch_path =
         (dir / "batch.json").string();
-    json::Value doc = json::Value::makeObject();
-    doc.set("requests", requestsToJson(requests));
-    json::writeFile(doc, batch_path);
+    writeBatchFile({requests, std::nullopt}, batch_path);
 
     std::string single;
     {

@@ -85,49 +85,53 @@ TEST(ConfigLoader, SystemJsonValidation)
         ConfigError);
 }
 
+// The *RoundTrip tests below pin the loaders to the full schema
+// each config file carries: every member, spelled as a document
+// on disk spells it, parsed back field by field.
+
 TEST(ConfigLoader, SystemRoundTrip)
 {
     TechDb tech;
-    SystemSpec system;
-    system.name = "rt";
-    system.singleDie = true;
-    system.chiplets.push_back(Chiplet::fromArea(
-        "logic", DesignType::Logic, 7.0, 120.0, tech));
-    system.chiplets.push_back(Chiplet::fromArea(
-        "mem", DesignType::Memory, 7.0, 60.0, tech));
-    system.chiplets[1].reused = true;
-
-    const SystemSpec loaded =
-        systemFromJson(systemToJson(system), tech);
-    EXPECT_EQ(loaded.name, system.name);
-    EXPECT_EQ(loaded.singleDie, system.singleDie);
+    const SystemSpec loaded = systemFromJson(json::parse(R"({
+        "name": "rt",
+        "monolithic": true,
+        "chiplets": [
+            {"name": "logic", "type": "logic", "node_nm": 7,
+             "transistors_mtr": 10920, "reused": false},
+            {"name": "mem", "type": "memory", "node_nm": 7,
+             "transistors_mtr": 5460, "reused": true,
+             "stack_group": "hbm0"}
+        ]
+    })"),
+                                             tech);
+    EXPECT_EQ(loaded.name, "rt");
+    EXPECT_TRUE(loaded.singleDie);
     ASSERT_EQ(loaded.chiplets.size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(loaded.chiplets[i].name,
-                  system.chiplets[i].name);
-        EXPECT_EQ(loaded.chiplets[i].type,
-                  system.chiplets[i].type);
-        EXPECT_DOUBLE_EQ(loaded.chiplets[i].transistorsMtr,
-                         system.chiplets[i].transistorsMtr);
-        EXPECT_EQ(loaded.chiplets[i].reused,
-                  system.chiplets[i].reused);
-    }
+    EXPECT_EQ(loaded.chiplets[0].name, "logic");
+    EXPECT_EQ(loaded.chiplets[0].type, DesignType::Logic);
+    EXPECT_DOUBLE_EQ(loaded.chiplets[0].nodeNm, 7.0);
+    EXPECT_DOUBLE_EQ(loaded.chiplets[0].transistorsMtr, 10920.0);
+    EXPECT_FALSE(loaded.chiplets[0].reused);
+    EXPECT_TRUE(loaded.chiplets[0].stackGroup.empty());
+    EXPECT_EQ(loaded.chiplets[1].name, "mem");
+    EXPECT_EQ(loaded.chiplets[1].type, DesignType::Memory);
+    EXPECT_DOUBLE_EQ(loaded.chiplets[1].transistorsMtr, 5460.0);
+    EXPECT_TRUE(loaded.chiplets[1].reused);
+    EXPECT_EQ(loaded.chiplets[1].stackGroup, "hbm0");
 }
 
 TEST(ConfigLoader, PackageParamsRoundTrip)
 {
-    PackageParams params;
-    params.arch = PackagingArch::Stack3d;
-    params.bondType = BondType::HybridBond;
-    params.hybridBondPitchUm = 2.0;
-    params.rdlLayers = 8;
-    params.router.flitWidthBits = 256;
-    params.bridgeRangeMm = 3.0;
-
-    const PackageParams loaded =
-        packageParamsFromJson(packageParamsToJson(params));
-    EXPECT_EQ(loaded.arch, params.arch);
-    EXPECT_EQ(loaded.bondType, params.bondType);
+    const PackageParams loaded = packageParamsFromJson(json::parse(R"({
+        "arch": "3d",
+        "bond_type": "hybrid",
+        "hybrid_bond_pitch_um": 2.0,
+        "rdl_layers": 8,
+        "router": {"flit_width_bits": 256},
+        "bridge_range_mm": 3.0
+    })"));
+    EXPECT_EQ(loaded.arch, PackagingArch::Stack3d);
+    EXPECT_EQ(loaded.bondType, BondType::HybridBond);
     EXPECT_DOUBLE_EQ(loaded.hybridBondPitchUm, 2.0);
     EXPECT_EQ(loaded.rdlLayers, 8);
     EXPECT_EQ(loaded.router.flitWidthBits, 256);
@@ -146,33 +150,26 @@ TEST(ConfigLoader, PackageParamsDefaultsWhenKeysMissing)
 
 TEST(ConfigLoader, DesignParamsRoundTrip)
 {
-    DesignParams params;
-    params.designIterations = 42;
-    params.chipletVolume = 5e5;
-    const DesignParams loaded =
-        designParamsFromJson(designParamsToJson(params));
+    const DesignParams loaded = designParamsFromJson(json::parse(
+        R"({"design_iterations": 42, "chiplet_volume": 5e5})"));
     EXPECT_EQ(loaded.designIterations, 42);
     EXPECT_DOUBLE_EQ(loaded.chipletVolume, 5e5);
 }
 
 TEST(ConfigLoader, OperatingSpecRoundTripWithOptionals)
 {
-    OperatingSpec spec;
-    spec.lifetimeYears = 4.0;
-    spec.annualEnergyKwh = 1.5;
-    const OperatingSpec loaded =
-        operatingSpecFromJson(operatingSpecToJson(spec));
+    const OperatingSpec loaded = operatingSpecFromJson(json::parse(
+        R"({"lifetime_years": 4, "annual_energy_kwh": 1.5})"));
     EXPECT_DOUBLE_EQ(loaded.lifetimeYears, 4.0);
     ASSERT_TRUE(loaded.annualEnergyKwh.has_value());
     EXPECT_DOUBLE_EQ(*loaded.annualEnergyKwh, 1.5);
     EXPECT_FALSE(loaded.avgPowerW.has_value());
 
-    OperatingSpec with_power;
-    with_power.avgPowerW = 130.0;
-    const OperatingSpec loaded2 =
-        operatingSpecFromJson(operatingSpecToJson(with_power));
+    const OperatingSpec loaded2 = operatingSpecFromJson(
+        json::parse(R"({"avg_power_w": 130})"));
     ASSERT_TRUE(loaded2.avgPowerW.has_value());
     EXPECT_DOUBLE_EQ(*loaded2.avgPowerW, 130.0);
+    EXPECT_FALSE(loaded2.annualEnergyKwh.has_value());
 }
 
 class DesignDirTest : public ::testing::Test

@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -245,9 +247,39 @@ TEST(JsonFile, WriteAndParseFile)
         ::testing::TempDir() + "/ecochip_json_test.json";
     Value obj = Value::makeObject();
     obj.set("answer", 42);
-    writeFile(obj, path);
+    writeFile(obj.dump(true), path);
     EXPECT_EQ(parseFile(path), obj);
+    std::ifstream in(path, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text, "{\n    \"answer\": 42\n}\n");
     std::remove(path.c_str());
+}
+
+TEST(JsonFile, FailedWriteThrowsNamingThePath)
+{
+    const std::string dir_path =
+        ::testing::TempDir() + "/no_such_dir/out.json";
+    try {
+        writeFile("{}", dir_path);
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "config error: cannot write JSON file: " +
+                      dir_path);
+    }
+    // Opening succeeds but the bytes never land: the flush must
+    // report it.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    try {
+        writeFile("{}", "/dev/full");
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "config error: cannot write JSON file: "
+                  "/dev/full");
+    }
 }
 
 TEST(JsonFile, MissingFileThrows)

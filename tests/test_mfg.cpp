@@ -4,6 +4,8 @@
  * (Eqs. 5-6).
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "manufacture/mfg_model.h"
@@ -53,6 +55,27 @@ TEST_F(MfgTest, DieMfgMatchesEq5ByHand)
                 1e-12);
     EXPECT_NEAR(b.totalCo2Kg(), b.dieCo2Kg + b.wastedCo2Kg,
                 1e-12);
+}
+
+TEST_F(MfgTest, DiesOutsideTheWaferRangeNameTheirArea)
+{
+    const auto message_of = [&](double area) {
+        try {
+            (void)mfg_.dieMfg(area, 7.0);
+        } catch (const ConfigError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_EQ(message_of(1e300),
+              "config error: die of 1e+300 mm^2 does not fit the "
+              "wafer");
+    EXPECT_EQ(message_of(1e-20),
+              "config error: die of 1e-20 mm^2 is too small: its "
+              "dies-per-wafer count does not fit in a long");
+    EXPECT_EQ(message_of(1e-300),
+              "config error: die of 1e-300 mm^2 is too small: its "
+              "dies-per-wafer count does not fit in a long");
 }
 
 TEST_F(MfgTest, WastageToggleRemovesPeripheryTerm)

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "io/batch_report_io.h"
 #include "io/search_io.h"
 #include "json/json.h"
+#include "json/stream_writer.h"
 #include "search/pareto.h"
 #include "search/scenario_space.h"
 #include "search/search_driver.h"
@@ -458,6 +460,15 @@ pcaSearchSpec(StrategyKind kind)
     return spec;
 }
 
+/** The `--search --json` document of @p result. */
+std::string
+searchResultText(const SearchResult &result, bool pretty = true)
+{
+    json::StreamWriter writer(pretty);
+    appendSearchResult(writer, result);
+    return writer.take();
+}
+
 SearchDriver
 pcaDriver(int threads)
 {
@@ -512,9 +523,7 @@ TEST(SearchDriverTest, ClimbersAreSeedDeterministicAcrossThreads)
         std::vector<std::string> dumps;
         for (const int threads : {1, 4, 8}) {
             SearchDriver driver = pcaDriver(threads);
-            dumps.push_back(
-                searchResultToJson(driver.run(spec))
-                    .dump(true));
+            dumps.push_back(searchResultText(driver.run(spec)));
         }
         EXPECT_EQ(dumps[0], dumps[1]) << toString(kind);
         EXPECT_EQ(dumps[0], dumps[2]) << toString(kind);
@@ -607,16 +616,35 @@ TEST(SearchIoTest, SpecRoundTripsLosslessly)
         {SearchMetric::CostUsd, 10.0, 500.0});
     spec.batchSize = 32;
 
-    const SearchSpec back = searchSpecFromJson(
-        searchSpecToJson(spec), "round.json");
+    // Every member of the schema, spelled as a spec file spells
+    // it, parses back to exactly the spec above.
+    const SearchSpec back = searchSpecFromJson(json::parse(R"({
+        "generator": "pca",
+        "scenarios": "catalog.json",
+        "strategy": {"kind": "annealing", "seed": 99,
+                     "restarts": 2, "steps": 17,
+                     "initial_temp": 2.5, "cooling": 0.9},
+        "objectives": [
+            {"metric": "total_kg", "goal": "min", "weight": 1},
+            {"metric": "perf_proxy", "goal": "max",
+             "weight": 0.25}
+        ],
+        "constraints": [
+            {"metric": "cost_usd", "min": 10, "max": 500}
+        ],
+        "batch_size": 32
+    })"),
+                                               "round.json");
     EXPECT_EQ(back, spec);
 }
 
 TEST(SearchIoTest, RejectsUnknownKeysNamingFileAndKey)
 {
-    json::Value doc = searchSpecToJson(
-        pcaSearchSpec(StrategyKind::Exhaustive));
-    doc.set("bogus_knob", 1.0);
+    const json::Value doc = json::parse(R"({
+        "generator": "pca",
+        "objectives": [{"metric": "embodied_kg"}],
+        "bogus_knob": 1
+    })");
     const std::string message = configErrorOf([&] {
         (void)searchSpecFromJson(doc, "spec.json");
     });
@@ -646,7 +674,7 @@ TEST(SearchIoTest, ResultDocumentOmitsNonFiniteScores)
 
     SearchDriver driver = pcaDriver(2);
     const json::Value doc =
-        searchResultToJson(driver.run(spec));
+        json::parse(searchResultText(driver.run(spec)));
 
     EXPECT_EQ(doc.at("generator").asString(), "pca");
     EXPECT_EQ(doc.at("strategy").asString(), "exhaustive");
@@ -669,6 +697,84 @@ TEST(SearchIoTest, ResultDocumentOmitsNonFiniteScores)
         EXPECT_NO_THROW(json::parse(point.dump(false)));
     }
     EXPECT_TRUE(saw_infeasible);
+}
+
+/** A hand-built result over the two tracked metrics
+ *  embodied_kg (objective) and cost_usd (constraint). */
+SearchResult
+handBuiltResult()
+{
+    SearchResult result;
+    result.spec.generator = "g";
+    result.spec.strategy.seed = 7;
+    result.spec.objectives.push_back(
+        {SearchMetric::EmbodiedKg, false, 1.0});
+    result.spec.constraints.push_back(
+        {SearchMetric::CostUsd, std::nullopt, 100.0});
+    result.spaceSize = 4;
+    const double inf = std::numeric_limits<double>::infinity();
+    result.evaluated.push_back(
+        {0, "g/a", true, "", {1.5, 20.0}, true, 1.5});
+    result.evaluated.push_back(
+        {1, "g/b", true, "", {0.5, 200.0}, false, inf});
+    result.evaluated.push_back(
+        {2, "g/c", false, "boom", {}, false, inf});
+    return result;
+}
+
+TEST(SearchIoTest, ResultDocumentBytesWithBestPoint)
+{
+    SearchResult result = handBuiltResult();
+    result.frontier = {0};
+    result.best = 0;
+    EXPECT_EQ(
+        searchResultText(result, false),
+        R"({"generator":"g","strategy":"exhaustive","seed":7,)"
+        R"("space_size":4,"evaluations":3,)"
+        R"("best":{"scenario":"g/a","score":1.5,)"
+        R"("metrics":{"embodied_kg":1.5,"cost_usd":20}},)"
+        R"("frontier":[{"scenario":"g/a",)"
+        R"("metrics":{"embodied_kg":1.5,"cost_usd":20}}],)"
+        R"("points":[)"
+        R"({"scenario":"g/a","ok":true,"feasible":true,)"
+        R"("score":1.5,)"
+        R"("metrics":{"embodied_kg":1.5,"cost_usd":20}},)"
+        R"({"scenario":"g/b","ok":true,"feasible":false,)"
+        R"("metrics":{"embodied_kg":0.5,"cost_usd":200}},)"
+        R"({"scenario":"g/c","ok":false,"feasible":false,)"
+        R"("error":"boom"}]})");
+}
+
+TEST(SearchIoTest, ResultDocumentBytesWithoutBestPoint)
+{
+    SearchResult result = handBuiltResult();
+    result.evaluated.erase(result.evaluated.begin());
+    EXPECT_EQ(searchResultText(result), R"({
+    "generator": "g",
+    "strategy": "exhaustive",
+    "seed": 7,
+    "space_size": 4,
+    "evaluations": 2,
+    "best": null,
+    "frontier": [],
+    "points": [
+        {
+            "scenario": "g/b",
+            "ok": true,
+            "feasible": false,
+            "metrics": {
+                "embodied_kg": 0.5,
+                "cost_usd": 200
+            }
+        },
+        {
+            "scenario": "g/c",
+            "ok": false,
+            "feasible": false,
+            "error": "boom"
+        }
+    ]
+})");
 }
 
 } // namespace

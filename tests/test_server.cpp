@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <set>
@@ -29,6 +30,7 @@
 #include "engine/analysis_engine.h"
 #include "io/batch_report_io.h"
 #include "io/request_io.h"
+#include "json/stream_writer.h"
 #include "server/analysis_server.h"
 #include "server/result_cache.h"
 #include "server/server_client.h"
@@ -48,6 +50,15 @@ namespace ecochip {
 namespace {
 
 // ------------------------------------------------ canonical text
+
+/** The compact wire line of one request. */
+std::string
+requestText(const AnalysisRequest &request)
+{
+    json::StreamWriter writer;
+    appendRequest(writer, request);
+    return writer.take();
+}
 
 TEST(CanonicalRequest, StableAcrossJsonRoundTrip)
 {
@@ -209,6 +220,33 @@ TEST_F(ResultCacheTest, LruEvictionKeepsTheHotEntries)
     EXPECT_TRUE(cache.lookupText(c).has_value());
 }
 
+TEST_F(ResultCacheTest, IndexFileBytes)
+{
+    ResultCache cache({dirStr(), 0});
+    const std::string a(64, 'a'), b(64, 'b');
+    cache.storeText(a, R"({"detail":"x"})"); // tick 0
+    cache.storeText(b, R"({"detail":"y"})"); // tick 1
+    ASSERT_TRUE(cache.lookupText(a).has_value()); // a: tick 2
+    cache.flushIndex();
+
+    std::ifstream in(dir_ / "index.json", std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text, "{\n"
+                    "    \"version\": 1,\n"
+                    "    \"entries\": [\n"
+                    "        {\n"
+                    "            \"key\": \"" + a + "\",\n"
+                    "            \"tick\": 2\n"
+                    "        },\n"
+                    "        {\n"
+                    "            \"key\": \"" + b + "\",\n"
+                    "            \"tick\": 1\n"
+                    "        }\n"
+                    "    ]\n"
+                    "}\n");
+}
+
 #if ECOCHIP_TEST_HAS_FORK
 
 // ------------------------------------------------ live server
@@ -299,7 +337,7 @@ serveAll(ServerClient &client,
          const std::vector<AnalysisRequest> &requests)
 {
     for (const auto &request : requests)
-        client.sendLine(requestToJson(request).dump(false));
+        client.sendLine(requestText(request));
     std::vector<std::string> by_index(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
         std::string line = client.readLine();
@@ -459,9 +497,8 @@ TEST(AnalysisServer, MalformedLinesAreIsolatedPerConnection)
     ServerClient client(server.socketPath());
     client.sendLine("this is not json");
     client.sendLine(
-        requestToJson({ScenarioRef::scenario("ga102"),
-                       EstimateSpec{}})
-            .dump(false));
+        requestText({ScenarioRef::scenario("ga102"),
+                     EstimateSpec{}}));
     client.sendLine("{\"kind\": \"no-such-kind\"}");
 
     std::map<std::size_t, json::Value> by_index;
@@ -489,6 +526,28 @@ TEST(AnalysisServer, MalformedLinesAreIsolatedPerConnection)
     EXPECT_EQ(server.waitForExit(), 0);
 }
 
+TEST(AnalysisServer, ControlRepliesHaveFixedBytes)
+{
+    ServerProcess server(serverOptions("control"));
+    ASSERT_TRUE(server.started());
+    ASSERT_TRUE(ServerClient::waitForServer(
+        server.socketPath(), 15.0));
+
+    // Two connections so far: the readiness probe and this one.
+    ServerClient client(server.socketPath());
+    EXPECT_EQ(client.roundTrip(R"({"control": "stats"})"),
+              R"({"control":"stats","served":0,"failed":0,)"
+              R"("malformed":0,"connections":2,"contexts":0,)"
+              R"("cache_enabled":false,"hits":0,"misses":0,)"
+              R"("evictions":0,"entries":0})");
+    EXPECT_EQ(client.roundTrip(R"({"control": "reload"})"),
+              R"({"control":"reload","error":"unknown control )"
+              R"(verb; known verbs: stats, shutdown"})");
+    EXPECT_EQ(client.roundTrip(R"({"control": "shutdown"})"),
+              R"({"control":"shutdown","draining":true})");
+    EXPECT_EQ(server.waitForExit(), 0);
+}
+
 TEST(AnalysisServer, SigtermDrainsInFlightRequests)
 {
     ServerOptions options = serverOptions("sigterm");
@@ -502,9 +561,8 @@ TEST(AnalysisServer, SigtermDrainsInFlightRequests)
     // A request slow enough to still be in flight when the
     // signal lands.
     client.sendLine(
-        requestToJson({ScenarioRef::scenario("ga102"),
-                       MonteCarloSpec{20000, 42, 1, {}}})
-            .dump(false));
+        requestText({ScenarioRef::scenario("ga102"),
+                     MonteCarloSpec{20000, 42, 1, {}}}));
     // The stats round-trip proves the server has read and
     // dispatched the line (lines on one connection are processed
     // in order), so SIGTERM now arrives mid-request.

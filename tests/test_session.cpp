@@ -11,6 +11,7 @@
 
 #include "core/explorer.h"
 #include "core/testcases.h"
+#include "io/config_loader.h"
 #include "io/result_writer.h"
 #include "session/analysis_session.h"
 #include "support/error.h"
@@ -341,24 +342,33 @@ TEST(EvalCache, CopiedEstimatorsShareMemoizedResults)
 
 // ------------------------------------------------ serialization
 
+/** The parsed `--json` document of one result. */
+json::Value
+resultDoc(const AnalysisResult &result)
+{
+    json::StreamWriter writer;
+    appendResult(writer, result);
+    return json::parse(writer.take());
+}
+
 TEST(ResultWriter, JsonCarriesKindScenarioAndPayload)
 {
     const AnalysisSession session =
         ScenarioBuilder().scenario("ga102").build();
 
     const json::Value estimate =
-        resultToJson(session.estimate());
+        resultDoc(session.estimate());
     EXPECT_EQ(estimate.at("kind").asString(), "estimate");
     EXPECT_EQ(estimate.at("scenario").asString(), "GA102-3c");
     EXPECT_TRUE(estimate.contains("report"));
 
     const json::Value sweep =
-        resultToJson(session.sweep({7.0, 10.0}));
+        resultDoc(session.sweep({7.0, 10.0}));
     EXPECT_EQ(sweep.at("kind").asString(), "sweep");
     EXPECT_EQ(sweep.at("sweep").asArray().size(), 8u);
     EXPECT_TRUE(sweep.contains("best_embodied"));
 
-    const json::Value mc = resultToJson(
+    const json::Value mc = resultDoc(
         session.monteCarlo(16, 3, Parallelism{2}));
     EXPECT_EQ(mc.at("kind").asString(), "monte_carlo");
     EXPECT_EQ(mc.at("uncertainty").at("trials").asNumber(),
@@ -372,11 +382,11 @@ TEST(ResultWriter, JsonCarriesKindScenarioAndPayload)
                   .at("p5")
                   .asNumber());
 
-    const json::Value cost = resultToJson(session.cost());
+    const json::Value cost = resultDoc(session.cost());
     EXPECT_EQ(cost.at("kind").asString(), "cost");
     EXPECT_GT(cost.at("cost").at("total_usd").asNumber(), 0.0);
 
-    const json::Value sens = resultToJson(session.sensitivity());
+    const json::Value sens = resultDoc(session.sensitivity());
     EXPECT_EQ(sens.at("kind").asString(), "sensitivity");
     EXPECT_GT(sens.at("sensitivity").at("rows").asArray().size(),
               0u);
@@ -412,14 +422,34 @@ TEST(ResultWriter, MarkdownRendersEveryKind)
 
 TEST(ResultWriter, StackGroupRoundTripsThroughArchitectureJson)
 {
+    // The architecture document of ga102Hbm(tech, 2, 2): two
+    // planar dies plus two two-tier memory towers.
     TechDb tech;
-    const SystemSpec hbm = testcases::ga102Hbm(tech, 2, 4);
-    const json::Value doc = systemToJson(hbm);
-    const SystemSpec parsed = systemFromJson(doc, tech);
+    const SystemSpec hbm = testcases::ga102Hbm(tech, 2, 2);
+    const SystemSpec parsed = systemFromJson(json::parse(R"({
+        "name": "GA102-hbm",
+        "chiplets": [
+            {"name": "digital", "node_nm": 7, "area_mm2": 400},
+            {"name": "analog", "node_nm": 10, "area_mm2": 90},
+            {"name": "hbm0-t0", "type": "memory", "node_nm": 14,
+             "area_mm2": 30, "stack_group": "hbm0"},
+            {"name": "hbm0-t1", "type": "memory", "node_nm": 14,
+             "area_mm2": 30, "reused": true, "stack_group": "hbm0"},
+            {"name": "hbm1-t0", "type": "memory", "node_nm": 14,
+             "area_mm2": 30, "reused": true, "stack_group": "hbm1"},
+            {"name": "hbm1-t1", "type": "memory", "node_nm": 14,
+             "area_mm2": 30, "reused": true, "stack_group": "hbm1"}
+        ]
+    })"),
+                                             tech);
     ASSERT_EQ(parsed.chiplets.size(), hbm.chiplets.size());
-    for (std::size_t i = 0; i < hbm.chiplets.size(); ++i)
+    for (std::size_t i = 0; i < hbm.chiplets.size(); ++i) {
+        EXPECT_EQ(parsed.chiplets[i].name, hbm.chiplets[i].name);
         EXPECT_EQ(parsed.chiplets[i].stackGroup,
                   hbm.chiplets[i].stackGroup);
+        EXPECT_EQ(parsed.chiplets[i].reused,
+                  hbm.chiplets[i].reused);
+    }
 }
 
 } // namespace

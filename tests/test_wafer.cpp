@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -64,6 +65,36 @@ TEST(WaferModel, InputValidation)
     WaferModel wafer;
     EXPECT_THROW(wafer.diesPerWafer(0.0), ConfigError);
     EXPECT_THROW(wafer.diesPerWafer(-5.0), ConfigError);
+}
+
+/** The message of the ConfigError @p fn throws ("" if none). */
+template <typename Fn>
+std::string
+configErrorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(WaferModel, VanishingDieCountOverflowIsATypedError)
+{
+    WaferModel wafer(300.0);
+    // ~7e14 dies still count; 1e-20 mm^2 would need ~7e24.
+    EXPECT_GT(wafer.diesPerWafer(1e-10), 0);
+    EXPECT_EQ(configErrorOf([&] { wafer.diesPerWafer(1e-20); }),
+              "config error: die of 1e-20 mm^2 is too small: its "
+              "dies-per-wafer count does not fit in a long");
+    EXPECT_EQ(configErrorOf([&] { wafer.diesPerWafer(1e-300); }),
+              "config error: die of 1e-300 mm^2 is too small: its "
+              "dies-per-wafer count does not fit in a long");
+    // The quotient overflows to inf for a denormal area.
+    EXPECT_THROW(wafer.diesPerWafer(1e-320), ConfigError);
+    EXPECT_THROW(wafer.wastedAreaPerDieMm2(1e-20), ConfigError);
+    EXPECT_THROW(wafer.utilization(1e-20), ConfigError);
 }
 
 /** Die-size sweep invariants. */

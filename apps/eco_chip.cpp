@@ -917,6 +917,9 @@ runConnect(const CliOptions &opts)
         std::cout << line << std::endl;
         JournalEntryText entry =
             splitEventLine(line, opts.connectPath);
+        requireModel(entry.index < batch.requests.size(),
+                     "server answered an out-of-range request "
+                     "index");
         requireModel(merger.add(entry.index,
                                 std::move(entry.outcome)),
                      "server answered a request index twice");

@@ -122,25 +122,21 @@ writeChunkFiles(const BatchFile &batch, const ChunkPlan &plan,
     // The catalog path was resolved against the original batch
     // file, but may still be cwd-relative; the sub-batches live
     // in another directory, so pin it down to an absolute path.
-    BatchFile chunk_batch;
+    std::optional<std::string> catalog;
     if (batch.scenarioCatalog)
-        chunk_batch.scenarioCatalog =
-            std::filesystem::absolute(*batch.scenarioCatalog)
-                .lexically_normal()
-                .string();
+        catalog = std::filesystem::absolute(*batch.scenarioCatalog)
+                      .lexically_normal()
+                      .string();
 
     std::vector<std::string> paths;
     paths.reserve(plan.chunkCount());
     for (std::size_t c = 0; c < plan.chunkCount(); ++c) {
-        chunk_batch.requests.clear();
-        for (std::size_t index : plan.chunks[c])
-            chunk_batch.requests.push_back(batch.requests[index]);
-
         char name[32];
         std::snprintf(name, sizeof(name), "chunk_%03zu.json", c);
         paths.push_back(
             (std::filesystem::path(directory) / name).string());
-        writeBatchFile(chunk_batch, paths.back());
+        writeBatchFile(batch.requests, plan.chunks[c], catalog,
+                       paths.back());
     }
     return paths;
 }

@@ -1,6 +1,7 @@
 #include "io/request_io.h"
 
 #include <filesystem>
+#include <numeric>
 
 #include "io/config_loader.h"
 #include "support/error.h"
@@ -425,16 +426,27 @@ loadBatchFile(const std::string &path)
 void
 writeBatchFile(const BatchFile &batch, const std::string &path)
 {
+    std::vector<std::size_t> all(batch.requests.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    writeBatchFile(batch.requests, all, batch.scenarioCatalog, path);
+}
+
+void
+writeBatchFile(const std::vector<AnalysisRequest> &requests,
+               const std::vector<std::size_t> &indices,
+               const std::optional<std::string> &catalog,
+               const std::string &path)
+{
     json::StreamWriter writer(true);
     writer.beginObject();
-    if (batch.scenarioCatalog) {
+    if (catalog) {
         writer.key("scenarios");
-        writer.string(*batch.scenarioCatalog);
+        writer.string(*catalog);
     }
     writer.key("requests");
     writer.beginArray();
-    for (const auto &request : batch.requests)
-        appendRequest(writer, request);
+    for (std::size_t index : indices)
+        appendRequest(writer, requests.at(index));
     writer.endArray();
     writer.endObject();
     json::writeFile(writer.str(), path);

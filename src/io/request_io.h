@@ -111,6 +111,19 @@ BatchFile loadBatchFile(const std::string &path);
  */
 void writeBatchFile(const BatchFile &batch, const std::string &path);
 
+/**
+ * Write the sub-batch of @p requests at @p indices, in that order,
+ * under @p catalog -- the document `writeBatchFile` writes for a
+ * BatchFile holding copies of those requests, without the copies.
+ * `writeChunkFiles` writes each chunk with it.
+ *
+ * @throws ConfigError when @p path cannot be written.
+ */
+void writeBatchFile(const std::vector<AnalysisRequest> &requests,
+                    const std::vector<std::size_t> &indices,
+                    const std::optional<std::string> &catalog,
+                    const std::string &path);
+
 /** Parse CostParams; missing keys keep their defaults. */
 CostParams costParamsFromJson(const json::Value &doc,
                               const std::string &context =

@@ -124,18 +124,60 @@ TEST(ConfigLoader, PackageParamsRoundTrip)
 {
     const PackageParams loaded = packageParamsFromJson(json::parse(R"({
         "arch": "3d",
-        "bond_type": "hybrid",
-        "hybrid_bond_pitch_um": 2.0,
+        "intensity_g_per_kwh": 450,
+        "spacing_mm": 0.75,
         "rdl_layers": 8,
-        "router": {"flit_width_bits": 256},
-        "bridge_range_mm": 3.0
+        "rdl_node_nm": 28,
+        "substrate_base_layers": 5,
+        "bridge_layers": 3,
+        "bridge_node_nm": 45,
+        "bridge_range_mm": 3.0,
+        "bridge_area_mm2": 6.5,
+        "bridge_embed_yield": 0.95,
+        "interposer_node_nm": 40,
+        "interposer_beol_layers": 7,
+        "repeater_area_fraction": 0.05,
+        "bond_type": "hybrid",
+        "tsv_pitch_um": 30,
+        "microbump_pitch_um": 36,
+        "hybrid_bond_pitch_um": 2.0,
+        "tsv_fail_probability": 2e-7,
+        "microbump_fail_probability": 3e-7,
+        "hybrid_bond_fail_probability": 4e-9,
+        "tier_assembly_yield": 0.97,
+        "bond_process_node_nm": 22,
+        "router": {"ports": 6, "flit_width_bits": 256,
+                   "buffers_per_vc": 8, "virtual_channels": 2},
+        "noc_flit_rate_hz": 2e9
     })"));
     EXPECT_EQ(loaded.arch, PackagingArch::Stack3d);
-    EXPECT_EQ(loaded.bondType, BondType::HybridBond);
-    EXPECT_DOUBLE_EQ(loaded.hybridBondPitchUm, 2.0);
+    EXPECT_DOUBLE_EQ(loaded.intensityGPerKwh, 450.0);
+    EXPECT_DOUBLE_EQ(loaded.spacingMm, 0.75);
     EXPECT_EQ(loaded.rdlLayers, 8);
-    EXPECT_EQ(loaded.router.flitWidthBits, 256);
+    EXPECT_DOUBLE_EQ(loaded.rdlNodeNm, 28.0);
+    EXPECT_EQ(loaded.substrateBaseLayers, 5);
+    EXPECT_EQ(loaded.bridgeLayers, 3);
+    EXPECT_DOUBLE_EQ(loaded.bridgeNodeNm, 45.0);
     EXPECT_DOUBLE_EQ(loaded.bridgeRangeMm, 3.0);
+    EXPECT_DOUBLE_EQ(loaded.bridgeAreaMm2, 6.5);
+    EXPECT_DOUBLE_EQ(loaded.bridgeEmbedYield, 0.95);
+    EXPECT_DOUBLE_EQ(loaded.interposerNodeNm, 40.0);
+    EXPECT_EQ(loaded.interposerBeolLayers, 7);
+    EXPECT_DOUBLE_EQ(loaded.repeaterAreaFraction, 0.05);
+    EXPECT_EQ(loaded.bondType, BondType::HybridBond);
+    EXPECT_DOUBLE_EQ(loaded.tsvPitchUm, 30.0);
+    EXPECT_DOUBLE_EQ(loaded.microbumpPitchUm, 36.0);
+    EXPECT_DOUBLE_EQ(loaded.hybridBondPitchUm, 2.0);
+    EXPECT_DOUBLE_EQ(loaded.tsvFailProbability, 2e-7);
+    EXPECT_DOUBLE_EQ(loaded.microbumpFailProbability, 3e-7);
+    EXPECT_DOUBLE_EQ(loaded.hybridBondFailProbability, 4e-9);
+    EXPECT_DOUBLE_EQ(loaded.tierAssemblyYield, 0.97);
+    EXPECT_DOUBLE_EQ(loaded.bondProcessNodeNm, 22.0);
+    EXPECT_EQ(loaded.router.ports, 6);
+    EXPECT_EQ(loaded.router.flitWidthBits, 256);
+    EXPECT_EQ(loaded.router.buffersPerVc, 8);
+    EXPECT_EQ(loaded.router.virtualChannels, 2);
+    EXPECT_DOUBLE_EQ(loaded.nocFlitRateHz, 2e9);
 }
 
 TEST(ConfigLoader, PackageParamsDefaultsWhenKeysMissing)
@@ -150,20 +192,48 @@ TEST(ConfigLoader, PackageParamsDefaultsWhenKeysMissing)
 
 TEST(ConfigLoader, DesignParamsRoundTrip)
 {
-    const DesignParams loaded = designParamsFromJson(json::parse(
-        R"({"design_iterations": 42, "chiplet_volume": 5e5})"));
+    const DesignParams loaded = designParamsFromJson(json::parse(R"({
+        "pdes_w": 15,
+        "design_iterations": 42,
+        "intensity_g_per_kwh": 300,
+        "spr_hours_per_mgate": 20,
+        "analyze_fraction": 0.5,
+        "verif_multiple": 3,
+        "gates_per_transistor": 0.25,
+        "chiplet_volume": 5e5,
+        "system_volume": 2e5
+    })"));
+    EXPECT_DOUBLE_EQ(loaded.pdesW, 15.0);
     EXPECT_EQ(loaded.designIterations, 42);
+    EXPECT_DOUBLE_EQ(loaded.intensityGPerKwh, 300.0);
+    EXPECT_DOUBLE_EQ(loaded.sprHoursPerMgate, 20.0);
+    EXPECT_DOUBLE_EQ(loaded.analyzeFraction, 0.5);
+    EXPECT_DOUBLE_EQ(loaded.verifMultiple, 3.0);
+    EXPECT_DOUBLE_EQ(loaded.gatesPerTransistor, 0.25);
     EXPECT_DOUBLE_EQ(loaded.chipletVolume, 5e5);
+    EXPECT_DOUBLE_EQ(loaded.systemVolume, 2e5);
 }
 
 TEST(ConfigLoader, OperatingSpecRoundTripWithOptionals)
 {
-    const OperatingSpec loaded = operatingSpecFromJson(json::parse(
-        R"({"lifetime_years": 4, "annual_energy_kwh": 1.5})"));
+    const OperatingSpec loaded = operatingSpecFromJson(json::parse(R"({
+        "lifetime_years": 4,
+        "duty_cycle": 0.2,
+        "avg_frequency_hz": 2e9,
+        "switching_activity": 0.15,
+        "intensity_g_per_kwh": 500,
+        "avg_power_w": 75,
+        "annual_energy_kwh": 1.5
+    })"));
     EXPECT_DOUBLE_EQ(loaded.lifetimeYears, 4.0);
+    EXPECT_DOUBLE_EQ(loaded.dutyCycle, 0.2);
+    EXPECT_DOUBLE_EQ(loaded.avgFrequencyHz, 2e9);
+    EXPECT_DOUBLE_EQ(loaded.switchingActivity, 0.15);
+    EXPECT_DOUBLE_EQ(loaded.useIntensityGPerKwh, 500.0);
+    ASSERT_TRUE(loaded.avgPowerW.has_value());
+    EXPECT_DOUBLE_EQ(*loaded.avgPowerW, 75.0);
     ASSERT_TRUE(loaded.annualEnergyKwh.has_value());
     EXPECT_DOUBLE_EQ(*loaded.annualEnergyKwh, 1.5);
-    EXPECT_FALSE(loaded.avgPowerW.has_value());
 
     const OperatingSpec loaded2 = operatingSpecFromJson(
         json::parse(R"({"avg_power_w": 130})"));

@@ -128,6 +128,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -672,24 +673,19 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
                   << " requests on " << engine.threads()
                   << " engine thread(s)\n";
 
-    BatchReport report;
-    if (opts.stream) {
-        // Completion-order NDJSON: the line is flushed as each
-        // request finishes, so long batches report progress
-        // incrementally; the report is assembled alongside for
-        // --json and the exit code.
-        report.outcomes.resize(batch.requests.size());
-        engine.runStream(
-            batch.requests,
-            [&report](std::size_t index,
-                      const RequestOutcome &outcome) {
-                std::cout << streamEventLine(index, outcome)
-                          << std::endl;
-                report.outcomes[index] = outcome;
-            });
-    } else {
-        report = engine.runBatch(batch.requests);
-    }
+    // Each outcome is encoded on the engine worker that produced
+    // it: its --json report text, and with --stream its NDJSON
+    // line, printed and flushed in completion order as the
+    // request finishes, so long batches report progress
+    // incrementally.
+    std::function<void(const std::string &)> on_event;
+    if (opts.stream)
+        on_event = [](const std::string &line) {
+            std::cout << line << std::endl;
+        };
+    const EncodedBatch run = runEncodedBatch(
+        engine, batch.requests, opts.jsonPath.has_value(), on_event);
+    const BatchReport &report = run.report;
 
     if (!opts.stream) {
         for (std::size_t i = 0; i < report.outcomes.size();
@@ -713,7 +709,7 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
         << " distinct evaluation context(s)\n";
 
     if (opts.jsonPath) {
-        writeBatchReportFile(report, *opts.jsonPath);
+        writeBatchReportFile(run, *opts.jsonPath);
         (opts.stream ? std::cerr : std::cout)
             << "results written to " << *opts.jsonPath << "\n";
     }

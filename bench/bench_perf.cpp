@@ -672,6 +672,125 @@ BENCHMARK(BM_SearchExhaustive)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/** A catalog of @p entries inline two-chiplet scenarios. */
+ScenarioRegistry
+inlineCatalog(int entries)
+{
+    json::StreamWriter writer;
+    writer.beginObject();
+    writer.key("scenarios");
+    writer.beginArray();
+    for (int i = 0; i < entries; ++i) {
+        writer.beginObject();
+        writer.key("name");
+        writer.string("soc-" + std::to_string(i));
+        writer.key("architecture");
+        writer.beginObject();
+        writer.key("name");
+        writer.string("soc");
+        writer.key("packaging");
+        writer.string("rdl_fanout");
+        writer.key("chiplets");
+        writer.beginArray();
+        for (const char *type : {"logic", "memory"}) {
+            writer.beginObject();
+            writer.key("name");
+            writer.string(type);
+            writer.key("type");
+            writer.string(type);
+            writer.key("node_nm");
+            writer.number(7 + i % 3);
+            writer.key("area_mm2");
+            writer.number(50.0 + i % 97);
+            writer.endObject();
+        }
+        writer.endArray();
+        writer.endObject();
+        writer.endObject();
+    }
+    writer.endArray();
+    writer.endObject();
+    ScenarioRegistry registry;
+    registry.loadJson(json::parse(writer.take()), "bench", ".");
+    return registry;
+}
+
+void
+BM_BindCatalog(benchmark::State &state)
+{
+    // One estimate per entry of an inline catalog, on one engine
+    // thread: every request binds a new context. Binding reads
+    // the engine's one shared catalog, so the time per request
+    // (1 / items_per_second) must stay flat as the catalog grows.
+    // The engine, and its one copy of the catalog, is built
+    // outside the timed region.
+    const int entries = static_cast<int>(state.range(0));
+    const ScenarioRegistry catalog = inlineCatalog(entries);
+    std::vector<AnalysisRequest> requests;
+    for (const auto &name : catalog.names())
+        requests.push_back(
+            {ScenarioRef::scenario(name), EstimateSpec{}});
+
+    for (auto _ : state) {
+        state.PauseTiming();
+        EngineOptions options;
+        options.threads = 1;
+        options.registry = catalog;
+        auto engine =
+            std::make_unique<AnalysisEngine>(std::move(options));
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(engine->runBatch(requests));
+        state.PauseTiming();
+        engine.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * entries);
+}
+BENCHMARK(BM_BindCatalog)
+    ->Name("BindCatalog")
+    ->Arg(250)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void
+BM_BindGeneratorPoint(benchmark::State &state)
+{
+    // Binding alone: one new context per point of the 54-point
+    // generator space (name lookup, base copy, axes, context),
+    // on an engine built outside the timed region. Items are
+    // bindings per second.
+    ScenarioRegistry registry;
+    registry.loadJson(searchBenchCatalog(), "bench", ".");
+    const ScenarioSpace space(registry.generator("bench-space"));
+    std::vector<ScenarioRef> points;
+    for (std::size_t flat = 0; flat < space.size(); ++flat)
+        points.push_back(ScenarioRef::scenario(space.nameAt(flat)));
+
+    for (auto _ : state) {
+        state.PauseTiming();
+        EngineOptions options;
+        options.registry = registry;
+        auto engine =
+            std::make_unique<AnalysisEngine>(std::move(options));
+        state.ResumeTiming();
+        for (const auto &point : points)
+            benchmark::DoNotOptimize(engine->sessionFor(point));
+        state.PauseTiming();
+        engine.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(points.size()));
+}
+BENCHMARK(BM_BindGeneratorPoint)
+    ->Name("BindGeneratorPoint")
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
 void
 BM_Estimate3dStack(benchmark::State &state)
 {

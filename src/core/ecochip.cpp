@@ -38,9 +38,17 @@ EcoChip::reportKey(const SystemSpec &system)
 }
 
 EcoChip::EcoChip(EcoChipConfig config, TechDb tech)
+    : EcoChip(std::move(config),
+              std::make_shared<const TechDb>(std::move(tech)))
+{}
+
+EcoChip::EcoChip(EcoChipConfig config,
+                 std::shared_ptr<const TechDb> tech)
     : tech_(std::move(tech)), config_(std::move(config)),
       cache_(std::make_shared<EvalCache>())
 {
+    requireConfig(static_cast<bool>(tech_),
+                  "estimator needs a technology database");
 }
 
 void
@@ -97,7 +105,7 @@ EcoChip::estimate(const SystemSpec &system) const
             return cached;
     }
 
-    ManufacturingModel mfg(tech_, config_.wafer,
+    ManufacturingModel mfg(*tech_, config_.wafer,
                            config_.fabIntensityGPerKwh,
                            config_.yieldModel);
     mfg.setIncludeWastage(config_.includeWastage);
@@ -106,26 +114,26 @@ EcoChip::estimate(const SystemSpec &system) const
     if (system.singleDie) {
         double area_mm2 = 0.0;
         for (const auto &block : system.chiplets)
-            area_mm2 += block.areaMm2(tech_);
+            area_mm2 += block.areaMm2(*tech_);
         report.mfgCo2Kg =
             cachedDieMfg(mfg, area_mm2, system.monolithicNodeNm())
                 .totalCo2Kg();
     } else {
         double total = 0.0;
         for (const auto &chiplet : system.chiplets)
-            total += cachedDieMfg(mfg, chiplet.areaMm2(tech_),
+            total += cachedDieMfg(mfg, chiplet.areaMm2(*tech_),
                                   chiplet.nodeNm)
                          .totalCo2Kg();
         report.mfgCo2Kg = total;
     }
 
-    PackageModel pkg(tech_, mfg, config_.package);
+    PackageModel pkg(*tech_, mfg, config_.package);
     report.hi = pkg.evaluate(system);
 
     // Design carbon: the communication IP (routers or PHYs, one
     // per chiplet) is designed once per system and amortized over
     // NS (Eq. 12's Cdes,comm term).
-    DesignModel design(tech_, config_.design);
+    DesignModel design(*tech_, config_.design);
     double comm_mtr = 0.0;
     double comm_node_nm = config_.package.interposerNodeNm;
     if (!system.isMonolithic()) {
@@ -135,7 +143,7 @@ EcoChip::estimate(const SystemSpec &system) const
           case PackagingArch::RdlFanout:
           case PackagingArch::SiliconBridge:
             comm_mtr =
-                PhyModel(tech_,
+                PhyModel(*tech_,
                          config_.package.router.flitWidthBits)
                     .transistorsMtr() *
                 nc;
@@ -143,13 +151,13 @@ EcoChip::estimate(const SystemSpec &system) const
             break;
           case PackagingArch::PassiveInterposer:
           case PackagingArch::Stack3d:
-            comm_mtr = RouterModel(tech_, config_.package.router)
+            comm_mtr = RouterModel(*tech_, config_.package.router)
                            .transistorsMtr() *
                        nc;
             comm_node_nm = system.chiplets.front().nodeNm;
             break;
           case PackagingArch::ActiveInterposer:
-            comm_mtr = RouterModel(tech_, config_.package.router)
+            comm_mtr = RouterModel(*tech_, config_.package.router)
                            .transistorsMtr() *
                        nc;
             comm_node_nm = config_.package.interposerNodeNm;
@@ -164,12 +172,12 @@ EcoChip::estimate(const SystemSpec &system) const
 
     if (config_.includeMaskNre) {
         report.nreCo2Kg =
-            NreCarbonModel(tech_, config_.fabIntensityGPerKwh,
+            NreCarbonModel(*tech_, config_.fabIntensityGPerKwh,
                            config_.design.chipletVolume)
                 .systemNreCo2Kg(system);
     }
 
-    OperationalModel operation(tech_, config_.operating);
+    OperationalModel operation(*tech_, config_.operating);
     report.operation =
         operation.evaluate(system, report.hi.nocPowerW);
 
@@ -180,16 +188,16 @@ EcoChip::estimate(const SystemSpec &system) const
         const double node = system.monolithicNodeNm();
         double total_area = 0.0;
         for (const auto &block : system.chiplets)
-            total_area += block.areaMm2(tech_);
+            total_area += block.areaMm2(*tech_);
         const MfgBreakdown die =
             cachedDieMfg(mfg, total_area, node);
         for (const auto &block : system.chiplets) {
             const double share =
-                block.areaMm2(tech_) / total_area;
+                block.areaMm2(*tech_) / total_area;
             ChipletReport cr;
             cr.name = block.name;
             cr.nodeNm = node;
-            cr.areaMm2 = block.areaMm2(tech_);
+            cr.areaMm2 = block.areaMm2(*tech_);
             cr.yield = die.yield;
             cr.mfgCo2Kg = share * die.totalCo2Kg();
             cr.designCo2Kg =
@@ -202,7 +210,7 @@ EcoChip::estimate(const SystemSpec &system) const
     } else {
         for (const auto &chiplet : system.chiplets) {
             const MfgBreakdown breakdown = cachedDieMfg(
-                mfg, chiplet.areaMm2(tech_), chiplet.nodeNm);
+                mfg, chiplet.areaMm2(*tech_), chiplet.nodeNm);
             ChipletReport cr;
             cr.name = chiplet.name;
             cr.nodeNm = chiplet.nodeNm;
@@ -224,7 +232,7 @@ EcoChip::estimate(const SystemSpec &system) const
 double
 EcoChip::actEmbodiedCo2Kg(const SystemSpec &system) const
 {
-    return ActModel(tech_, config_.fabIntensityGPerKwh)
+    return ActModel(*tech_, config_.fabIntensityGPerKwh)
         .embodiedCo2Kg(system);
 }
 
@@ -238,7 +246,7 @@ CostBreakdown
 EcoChip::cost(const SystemSpec &system,
               const CostParams &cost_params) const
 {
-    return CostModel(tech_, config_.wafer, cost_params)
+    return CostModel(*tech_, config_.wafer, cost_params)
         .systemCost(system, config_.package);
 }
 

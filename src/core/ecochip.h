@@ -146,9 +146,10 @@ struct EvalCache
 /**
  * The ECO-CHIP estimator.
  *
- * Owns its technology database and configuration; `estimate()` is
- * const and thread-safe (the internal evaluation cache is guarded
- * by reader/writer locks), so sweeps can share one instance.
+ * Owns its configuration and shares its (immutable) technology
+ * database; `estimate()` is const and thread-safe (the internal
+ * evaluation cache is guarded by reader/writer locks), so sweeps
+ * can share one instance.
  */
 class EcoChip
 {
@@ -160,8 +161,15 @@ class EcoChip
     explicit EcoChip(EcoChipConfig config = EcoChipConfig(),
                      TechDb tech = TechDb());
 
+    /**
+     * @param config Estimator configuration.
+     * @param tech Shared technology calibration (non-null).
+     */
+    EcoChip(EcoChipConfig config,
+            std::shared_ptr<const TechDb> tech);
+
     /** Technology database in use. */
-    const TechDb &tech() const { return tech_; }
+    const TechDb &tech() const { return *tech_; }
 
     /** Configuration in use. */
     const EcoChipConfig &config() const { return config_; }
@@ -216,7 +224,7 @@ class EcoChip
     DesignBreakdown cachedChipletDesign(const DesignModel &design,
                                         const Chiplet &chiplet) const;
 
-    TechDb tech_;
+    std::shared_ptr<const TechDb> tech_;
     EcoChipConfig config_;
     std::shared_ptr<EvalCache> cache_;
 };

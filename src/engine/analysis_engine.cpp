@@ -35,10 +35,22 @@ optionsWithThreads(int threads)
     return options;
 }
 
+/** @p registry, with its generator bases parsed against @p tech. */
+std::shared_ptr<const ScenarioRegistry>
+boundRegistry(ScenarioRegistry registry,
+              const std::shared_ptr<const TechDb> &tech)
+{
+    registry.bindTech(tech);
+    return std::make_shared<const ScenarioRegistry>(
+        std::move(registry));
+}
+
 } // namespace
 
 AnalysisEngine::AnalysisEngine(EngineOptions options)
-    : options_(std::move(options)), pool_(options_.threads)
+    : tech_(std::make_shared<const TechDb>(std::move(options.tech))),
+      registry_(boundRegistry(std::move(options.registry), tech_)),
+      pool_(options.threads)
 {}
 
 AnalysisEngine::AnalysisEngine(int threads)
@@ -86,10 +98,9 @@ AnalysisEngine::sessionFor(const ScenarioRef &ref)
         SessionBuild built;
         try {
             ScenarioBuilder builder;
-            builder.tech(options_.tech);
+            builder.tech(tech_);
             if (ref.kind == ScenarioRef::Kind::Registry)
-                builder.registry(options_.registry)
-                    .scenario(ref.value);
+                builder.registry(registry_).scenario(ref.value);
             else
                 builder.designDirectory(ref.value);
             built.session = builder.build();
@@ -143,7 +154,8 @@ AnalysisEngine::submit(AnalysisRequest request)
 void
 AnalysisEngine::runStream(
     const std::vector<AnalysisRequest> &requests,
-    const StreamCallback &on_complete)
+    const StreamCallback &on_complete,
+    const WorkerCallback &on_worker)
 {
     if (requests.empty())
         return;
@@ -161,7 +173,8 @@ AnalysisEngine::runStream(
     state->remaining = requests.size();
 
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        pool_.post([this, state, &on_complete, &requests, i] {
+        pool_.post([this, state, &on_complete, &on_worker,
+                    &requests, i] {
             RequestOutcome outcome;
             outcome.request = requests[i];
             try {
@@ -174,6 +187,8 @@ AnalysisEngine::runStream(
             } catch (...) {
                 outcome.error = "unknown error";
             }
+            if (on_worker)
+                on_worker(i, outcome);
             // Deliver under the state lock: events are serialized
             // and the decrement happens only after the callback
             // returned, so runStream cannot unblock mid-delivery.

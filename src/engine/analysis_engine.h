@@ -61,10 +61,11 @@
 #include <cstddef>
 #include <functional>
 #include <future>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/thread_pool.h"
@@ -73,7 +74,11 @@
 
 namespace ecochip {
 
-/** Scheduling knobs of an `AnalysisEngine`. */
+/**
+ * Scheduling knobs of an `AnalysisEngine`. The engine takes the
+ * catalog and the calibration over once, at construction, and
+ * shares them, immutable, with every binding it makes.
+ */
 struct EngineOptions
 {
     /** Worker threads draining the request queue. */
@@ -135,6 +140,19 @@ using StreamCallback =
                        RequestOutcome &&outcome)>;
 
 /**
+ * Per-outcome work done on the worker thread that produced the
+ * outcome, just before its delivery and outside the delivery lock,
+ * so calls for different requests run concurrently: encoding the
+ * outcome, say, which would otherwise serialize on the delivery.
+ * It may read the outcome and write state that belongs to its
+ * @p index alone (one vector slot); the delivery of that index
+ * happens after it returns, on the same thread. It must not throw.
+ */
+using WorkerCallback =
+    std::function<void(std::size_t index,
+                       const RequestOutcome &outcome)>;
+
+/**
  * Thread-pooled analysis scheduler with scenario-context
  * deduplication. Thread-safe: `submit`/`runBatch` may be called
  * from any thread.
@@ -150,11 +168,11 @@ class AnalysisEngine
     /** Worker count. */
     int threads() const { return pool_.threadCount(); }
 
-    /** The catalog registry bindings resolve against. */
-    const ScenarioRegistry &registry() const
-    {
-        return options_.registry;
-    }
+    /**
+     * The catalog registry bindings resolve against, with its
+     * generator bases bound to the engine's TechDb.
+     */
+    const ScenarioRegistry &registry() const { return *registry_; }
 
     /**
      * Schedule one request on the pool.
@@ -175,9 +193,13 @@ class AnalysisEngine
      * once, failures included: a failed request streams an
      * outcome carrying its error, exactly as `runBatch` records
      * it. Blocks until the whole batch has been delivered.
+     *
+     * @p on_worker, when set, runs first for each outcome, on its
+     * worker and unserialized (see `WorkerCallback`).
      */
     void runStream(const std::vector<AnalysisRequest> &requests,
-                   const StreamCallback &on_complete);
+                   const StreamCallback &on_complete,
+                   const WorkerCallback &on_worker = {});
 
     /**
      * Run a whole batch and wait for it.
@@ -194,8 +216,12 @@ class AnalysisEngine
     /**
      * The session a binding resolves to, built on first use and
      * shared (one `EvaluationContext` per distinct binding)
-     * afterwards. Distinct bindings build concurrently; workers
-     * racing for the same binding wait on one build. A failed
+     * afterwards. A build copies nothing catalog-sized: it reads
+     * the engine's one registry and TechDb through shared
+     * pointers, and a generator point copies only its
+     * generator's base design. Distinct bindings build
+     * concurrently; workers racing for the same binding wait on
+     * one build. A failed
      * build throws to every waiter and is forgotten, so a later
      * request retries it.
      */
@@ -205,7 +231,11 @@ class AnalysisEngine
     std::size_t contextCount() const;
 
   private:
-    EngineOptions options_;
+    /** Immutable after construction; shared by every context. */
+    std::shared_ptr<const TechDb> tech_;
+
+    /** Immutable after construction, bound to `tech_`. */
+    std::shared_ptr<const ScenarioRegistry> registry_;
 
     /**
      * Outcome of one scenario-context build: the session, or the
@@ -234,7 +264,8 @@ class AnalysisEngine
      * Shared futures so the lock is only held for map access,
      * never for context construction (which may touch disk).
      */
-    std::map<std::string, std::shared_future<SessionBuild>>
+    std::unordered_map<std::string,
+                       std::shared_future<SessionBuild>>
         sessions_;
 
     /** Last member: destroyed (drained) before the caches. */

@@ -1,6 +1,7 @@
 #include "engine/shard_runner.h"
 
 #include <fstream>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -31,35 +32,28 @@ runShardWorker(const std::string &sub_batch_path,
     options.registry = std::move(registry);
     AnalysisEngine engine(std::move(options));
 
-    BatchReport report;
-    if (events_path.empty()) {
-        report = engine.runBatch(batch.requests);
-    } else {
-        // Stream each outcome the moment it completes, flushed
-        // per line so a tailing coordinator only ever reads
-        // whole lines; then assemble the report by index --
-        // `runBatch` does exactly this internally, so the
-        // written report stays bit-identical to the
-        // non-streaming path.
-        std::ofstream events(events_path,
-                             std::ios::out | std::ios::trunc);
+    // Each outcome is encoded on its engine worker; with an events
+    // path its stream line is flushed the moment the request
+    // completes, so a tailing coordinator only ever reads whole
+    // lines. The report is spliced from the same workers' texts,
+    // bit-identical to the non-streaming path.
+    std::ofstream events;
+    std::function<void(const std::string &)> on_event;
+    if (!events_path.empty()) {
+        events.open(events_path, std::ios::out | std::ios::trunc);
         requireConfig(events.good(),
                       "cannot open the worker event stream for "
                       "writing: " +
                           events_path);
-        report.outcomes.resize(batch.requests.size());
-        engine.runStream(
-            batch.requests,
-            [&](std::size_t index,
-                const RequestOutcome &outcome) {
-                events << streamEventLine(index, outcome)
-                       << '\n';
-                events.flush();
-                report.outcomes[index] = outcome;
-            });
+        on_event = [&events](const std::string &line) {
+            events << line << '\n';
+            events.flush();
+        };
     }
-    writeBatchReportFile(report, report_path);
-    return report.allOk() ? 0 : 1;
+    const EncodedBatch run =
+        runEncodedBatch(engine, batch.requests, true, on_event);
+    writeBatchReportFile(run, report_path);
+    return run.report.allOk() ? 0 : 1;
 }
 
 } // namespace ecochip

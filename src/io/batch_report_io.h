@@ -26,7 +26,9 @@
 #define ECOCHIP_IO_BATCH_REPORT_IO_H
 
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "engine/analysis_engine.h"
 #include "json/stream_writer.h"
@@ -60,6 +62,43 @@ std::string batchReportText(const BatchReport &report,
 
 /** Write `batchReportText` pretty-printed to @p path. */
 void writeBatchReportFile(const BatchReport &report,
+                          const std::string &path);
+
+/** A batch run whose outcomes were encoded by the engine workers. */
+struct EncodedBatch
+{
+    BatchReport report;
+
+    /**
+     * Each outcome as it stands in the pretty report file (the
+     * `appendOutcome` document at the indent of the report's
+     * `outcomes` array), in request order; empty when the run was
+     * not asked for them.
+     */
+    std::vector<std::string> outcomeTexts;
+};
+
+/**
+ * Run @p requests on @p engine, encoding each outcome on the
+ * worker that produced it, outside the engine's delivery lock:
+ * its report text when @p report_texts is set, and its
+ * `streamEventLine` when @p on_event is. @p on_event then receives
+ * the lines in completion order, one call at a time, as the
+ * requests finish.
+ */
+EncodedBatch runEncodedBatch(
+    AnalysisEngine &engine,
+    const std::vector<AnalysisRequest> &requests,
+    bool report_texts,
+    const std::function<void(const std::string &line)> &on_event =
+        {});
+
+/**
+ * Write the report of a run made with `report_texts` to @p path:
+ * the bytes of `writeBatchReportFile(batch.report, path)`, spliced
+ * from the outcome texts straight into the file.
+ */
+void writeBatchReportFile(const EncodedBatch &batch,
                           const std::string &path);
 
 /**

@@ -422,8 +422,18 @@ parseFile(const std::string &path)
 void
 writeFile(std::string_view text, const std::string &path)
 {
+    writeFile(std::vector<std::string_view>{text}, path);
+}
+
+void
+writeFile(const std::vector<std::string_view> &pieces,
+          const std::string &path)
+{
     std::ofstream out(path, std::ios::binary);
-    out << text << '\n';
+    for (const std::string_view piece : pieces)
+        out.write(piece.data(),
+                  static_cast<std::streamsize>(piece.size()));
+    out << '\n';
     out.flush();
     requireConfig(static_cast<bool>(out),
                   "cannot write JSON file: " + path);

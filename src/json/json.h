@@ -260,6 +260,14 @@ Value parseFile(const std::string &path);
  */
 void writeFile(std::string_view text, const std::string &path);
 
+/**
+ * Write one document held in consecutive pieces, in order and
+ * followed by a newline, without joining them in memory first;
+ * otherwise as `writeFile(text, path)`.
+ */
+void writeFile(const std::vector<std::string_view> &pieces,
+               const std::string &path);
+
 } // namespace ecochip::json
 
 #endif // ECOCHIP_JSON_JSON_H

@@ -23,7 +23,7 @@ StreamWriter::materialize(Frame &frame)
 void
 StreamWriter::indent()
 {
-    out_.append(4 * frames_.size(), ' ');
+    out_.append(4 * (baseDepth_ + frames_.size()), ' ');
 }
 
 void
@@ -139,8 +139,15 @@ StreamWriter::raw(std::string_view text)
 {
     requireModel(!text.empty(),
                  "StreamWriter: raw() with an empty span");
-    elementPrefix();
+    placeholder();
     out_ += text;
+}
+
+std::size_t
+StreamWriter::placeholder()
+{
+    elementPrefix();
+    return out_.size();
 }
 
 std::string

@@ -37,8 +37,15 @@ class StreamWriter
     /**
      * @param pretty When true, emit the 4-space indented layout;
      *        otherwise the compact form.
+     * @param base_depth Pretty layout only: indent as if the
+     *        document were nested @p base_depth containers deep,
+     *        so it can be spliced there (`placeholder`) with the
+     *        bytes the enclosing writer would have written.
      */
-    explicit StreamWriter(bool pretty = false) : pretty_(pretty) {}
+    explicit StreamWriter(bool pretty = false,
+                          std::size_t base_depth = 0)
+        : pretty_(pretty), baseDepth_(base_depth)
+    {}
 
     /** @{ @name Container scopes */
     void beginObject() { openContainer('{'); }
@@ -70,6 +77,15 @@ class StreamWriter
      * compact spans with `ondemand::reserializeValue` instead.
      */
     void raw(std::string_view text);
+
+    /**
+     * Reserve the place of one value that is spliced in later:
+     * emit what precedes a value here (separator and indentation)
+     * and return the offset in `str()` where the value's text
+     * belongs. In pretty mode that text must be written at base
+     * depth `depth()`.
+     */
+    std::size_t placeholder();
 
     /** The document so far (the full document once complete()). */
     const std::string &str() const { return out_; }
@@ -108,6 +124,7 @@ class StreamWriter
     std::string out_;
     std::vector<Frame> frames_;
     bool pretty_ = false;
+    std::size_t baseDepth_ = 0;
     bool has_root_ = false;
 };
 

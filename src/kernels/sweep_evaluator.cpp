@@ -166,7 +166,7 @@ SweepEvaluator::compile(
                   "system has no chiplets");
 
     const EcoChipConfig &config = estimator_->config_;
-    const TechDb &tech = estimator_->tech_;
+    const TechDb &tech = *estimator_->tech_;
     const PackageParams &pp = config.package;
     const std::size_t n = system.chiplets.size();
     const double nc = static_cast<double>(n);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <memory>
 #include <utility>
 
 #include "package/package_params.h"
@@ -278,6 +279,10 @@ generatorFromJson(const json::Value &entry,
                       " needs exactly one of architecture / "
                       "design_dir");
 
+    // The base documents, captured by the base parser and shared
+    // by every copy of the template.
+    std::shared_ptr<const json::Value> architecture, package,
+        design, operational;
     if (from_dir) {
         requireConfig(!entry.contains("package") &&
                           !entry.contains("design") &&
@@ -306,7 +311,7 @@ generatorFromJson(const json::Value &entry,
         // generator snapshots the directory's documents at load
         // time: every point of the space must transform one
         // fixed base.
-        generator.architecture =
+        architecture =
             std::make_shared<const json::Value>(json::parseFile(
                 (root / "architecture.json").string()));
         auto optional_file =
@@ -317,14 +322,12 @@ generatorFromJson(const json::Value &entry,
             return std::make_shared<const json::Value>(
                 json::parseFile((root / file).string()));
         };
-        generator.package = optional_file("packageC.json");
-        generator.design = optional_file("designC.json");
-        generator.operational =
-            optional_file("operationalC.json");
+        package = optional_file("packageC.json");
+        design = optional_file("designC.json");
+        operational = optional_file("operationalC.json");
     } else {
-        generator.architecture =
-            std::make_shared<const json::Value>(
-                entry.at("architecture"));
+        architecture = std::make_shared<const json::Value>(
+            entry.at("architecture"));
         auto optional_doc =
             [&](const char *key) -> std::shared_ptr<
                                      const json::Value> {
@@ -333,19 +336,25 @@ generatorFromJson(const json::Value &entry,
             return std::make_shared<const json::Value>(
                 entry.at(key));
         };
-        generator.package = optional_doc("package");
-        generator.design = optional_doc("design");
-        generator.operational = optional_doc("operational");
+        package = optional_doc("package");
+        design = optional_doc("design");
+        operational = optional_doc("operational");
     }
+    generator.parseBase = [architecture, package, design,
+                           operational,
+                           context = generator.context](
+                              const TechDb &tech) {
+        return designBundleFromJson(*architecture, package.get(),
+                                    design.get(), operational.get(),
+                                    tech, context);
+    };
 
-    // Parse the base once now: axis target validation needs the
-    // chiplet list, and a schema-broken base must fail at load
-    // time with the generator named (same contract as inline
-    // scenario entries).
-    const DesignBundle base = designBundleFromJson(
-        *generator.architecture, generator.package.get(),
-        generator.design.get(), generator.operational.get(),
-        TechDb(), generator.context);
+    // Parse the base once now, against the paper's calibration:
+    // axis target validation needs the chiplet list, and a
+    // schema-broken base must fail at load time with the
+    // generator named (same contract as inline scenario entries).
+    generator.bindTech(TechDb::defaults());
+    const DesignBundle &base = *generator.base;
 
     const auto &axis_entries = entry.at("axes").asArray();
     requireConfig(!axis_entries.empty(),
@@ -431,24 +440,44 @@ generatorFromJson(const json::Value &entry,
     ScenarioSpace space(generator);
     space.instantiate(
         std::vector<std::size_t>(generator.axes.size(), 0),
-        TechDb());
+        *generator.baseTech);
 
     return generator;
 }
 
-ScenarioSpace::ScenarioSpace(GeneratorTemplate generator)
-    : generator_(std::move(generator))
+void
+GeneratorTemplate::bindTech(std::shared_ptr<const TechDb> tech)
 {
-    for (const auto &axis : generator_.axes) {
-        requireConfig(axis.size() > 0,
-                      generator_.name + ": axis \"" + axis.name +
-                          "\": empty axis (needs at least one "
-                          "value)");
-        requireConfig(axis.size() <= kMaxPoints / size_,
-                      generator_.name +
-                          ": scenario space exceeds " +
-                          std::to_string(kMaxPoints) +
-                          " points");
+    requireConfig(static_cast<bool>(tech),
+                  "generator needs a technology database");
+    base = std::make_shared<const DesignBundle>(parseBase(*tech));
+    baseTech = std::move(tech);
+}
+
+DesignBundle
+GeneratorTemplate::baseFor(const TechDb &tech) const
+{
+    if (&tech == baseTech.get())
+        return *base;
+    return parseBase(tech);
+}
+
+ScenarioSpace::ScenarioSpace(const GeneratorTemplate &generator)
+    : generator_(&generator)
+{
+    // Registry lookups build a space per derived name: the
+    // success path stays free of message strings.
+    for (const auto &axis : generator.axes) {
+        if (axis.size() == 0)
+            throw ConfigError(generator.name + ": axis \"" +
+                              axis.name +
+                              "\": empty axis (needs at least "
+                              "one value)");
+        if (axis.size() > kMaxPoints / size_)
+            throw ConfigError(generator.name +
+                              ": scenario space exceeds " +
+                              std::to_string(kMaxPoints) +
+                              " points");
         size_ *= axis.size();
     }
 }
@@ -461,7 +490,7 @@ ScenarioSpace::indicesAt(std::size_t flat) const
     std::vector<std::size_t> indices(axisCount(), 0);
     // Odometer order: the last axis varies fastest.
     for (std::size_t i = axisCount(); i-- > 0;) {
-        const std::size_t n = generator_.axes[i].size();
+        const std::size_t n = generator_->axes[i].size();
         indices[i] = flat % n;
         flat /= n;
     }
@@ -476,9 +505,9 @@ ScenarioSpace::flatIndex(
                  "scenario-space index arity mismatch");
     std::size_t flat = 0;
     for (std::size_t i = 0; i < indices.size(); ++i) {
-        requireModel(indices[i] < generator_.axes[i].size(),
+        requireModel(indices[i] < generator_->axes[i].size(),
                      "scenario-space axis index out of range");
-        flat = flat * generator_.axes[i].size() + indices[i];
+        flat = flat * generator_->axes[i].size() + indices[i];
     }
     return flat;
 }
@@ -489,9 +518,9 @@ ScenarioSpace::nameAt(
 {
     requireModel(indices.size() == axisCount(),
                  "scenario-space index arity mismatch");
-    std::string name = generator_.name;
+    std::string name = generator_->name;
     for (std::size_t i = 0; i < indices.size(); ++i) {
-        const auto &axis = generator_.axes[i];
+        const auto &axis = generator_->axes[i];
         requireModel(indices[i] < axis.size(),
                      "scenario-space axis index out of range");
         name += '/';
@@ -509,34 +538,35 @@ ScenarioSpace::nameAt(std::size_t flat) const
 }
 
 std::optional<std::vector<std::size_t>>
-ScenarioSpace::parseName(const std::string &name) const
+ScenarioSpace::parseName(std::string_view name) const
 {
-    std::size_t pos = generator_.name.size();
-    if (name.compare(0, pos, generator_.name) != 0)
+    // Match "<generator>" then "/<axis>=<label>" per axis, in
+    // place: no token or label is copied.
+    auto consume = [&name](std::string_view token) {
+        if (name.substr(0, token.size()) != token)
+            return false;
+        name.remove_prefix(token.size());
+        return true;
+    };
+    if (!consume(generator_->name))
         return std::nullopt;
 
     std::vector<std::size_t> indices;
     indices.reserve(axisCount());
-    for (const auto &axis : generator_.axes) {
-        // Expect "/<axis>=".
-        const std::string token = "/" + axis.name + "=";
-        if (name.compare(pos, token.size(), token) != 0)
+    for (const auto &axis : generator_->axes) {
+        if (!consume("/") || !consume(axis.name) || !consume("="))
             return std::nullopt;
-        pos += token.size();
-        const std::size_t slash = name.find('/', pos);
-        const std::size_t end =
-            slash == std::string::npos ? name.size() : slash;
-        const std::string label =
-            name.substr(pos, end - pos);
+        const std::string_view label =
+            name.substr(0, name.find('/'));
         const auto it = std::find(axis.labels.begin(),
                                   axis.labels.end(), label);
         if (it == axis.labels.end())
             return std::nullopt;
         indices.push_back(static_cast<std::size_t>(
             it - axis.labels.begin()));
-        pos = end;
+        name.remove_prefix(label.size());
     }
-    if (pos != name.size())
+    if (!name.empty())
         return std::nullopt;
     return indices;
 }
@@ -549,12 +579,7 @@ ScenarioSpace::instantiate(
     requireModel(indices.size() == axisCount(),
                  "scenario-space index arity mismatch");
 
-    DesignBundle bundle = designBundleFromJson(
-        *generator_.architecture, generator_.package.get(),
-        generator_.design.get(), generator_.operational.get(),
-        tech, generator_.context.empty()
-                  ? generator_.name
-                  : generator_.context);
+    DesignBundle bundle = generator_->baseFor(tech);
 
     // Apply axes phase by phase (nodes, splits, stacks,
     // packaging, operating), declaration order within a phase --
@@ -562,7 +587,7 @@ ScenarioSpace::instantiate(
     // axes were declared in.
     for (int phase = 0; phase <= 4; ++phase) {
         for (std::size_t i = 0; i < axisCount(); ++i) {
-            const auto &axis = generator_.axes[i];
+            const auto &axis = generator_->axes[i];
             if (phaseOf(axis.kind) != phase)
                 continue;
             const std::size_t pick = indices[i];
@@ -593,11 +618,11 @@ ScenarioSpace::instantiate(
                     [&](const Chiplet &c) {
                         return c.name == axis.chiplet;
                     });
-                requireConfig(it != chiplets.end(),
-                              generator_.name +
-                                  ": no chiplet \"" +
-                                  axis.chiplet +
-                                  "\" to split");
+                if (it == chiplets.end())
+                    throw ConfigError(generator_->name +
+                                      ": no chiplet \"" +
+                                      axis.chiplet +
+                                      "\" to split");
                 // Split into k even slices named <name>0 ..
                 // <name>(k-1); slices after the first share the
                 // first's design effort (the paper's
@@ -627,11 +652,11 @@ ScenarioSpace::instantiate(
                 const std::size_t have =
                     towerCount(bundle.system,
                                axis.groupPrefix);
-                requireConfig(have > 0,
-                              generator_.name +
-                                  ": no stack group \"" +
-                                  axis.groupPrefix +
-                                  "0\" to replicate");
+                if (have == 0)
+                    throw ConfigError(generator_->name +
+                                      ": no stack group \"" +
+                                      axis.groupPrefix +
+                                      "0\" to replicate");
                 if (k < have) {
                     chiplets.erase(
                         std::remove_if(

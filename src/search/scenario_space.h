@@ -49,9 +49,11 @@
 #define ECOCHIP_SEARCH_SCENARIO_SPACE_H
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/config_loader.h"
@@ -139,8 +141,8 @@ struct GeneratorAxis
 };
 
 /**
- * A parsed generator catalog entry: base design documents plus the
- * swept axes. Value type -- cheap to copy (documents are shared).
+ * A parsed generator catalog entry: the base design plus the swept
+ * axes. Value type -- cheap to copy (the base is shared).
  */
 struct GeneratorTemplate
 {
@@ -153,16 +155,35 @@ struct GeneratorTemplate
     /** Source label ("catalog.json: generator \"x\"") for errors. */
     std::string context;
 
-    /** Base architecture document (required). */
-    std::shared_ptr<const json::Value> architecture;
+    /**
+     * Parses the base design documents, captured at load time,
+     * against a technology database. The base depends on it:
+     * `area_mm2` chiplets take their transistor counts from its
+     * density tables.
+     */
+    std::function<DesignBundle(const TechDb &)> parseBase;
 
-    /** Optional knob documents (null = paper defaults). */
-    std::shared_ptr<const json::Value> package;
-    std::shared_ptr<const json::Value> design;
-    std::shared_ptr<const json::Value> operational;
+    /** The base, parsed once against `baseTech`. */
+    std::shared_ptr<const DesignBundle> base;
+
+    /**
+     * The database `base` was parsed against:
+     * `TechDb::defaults()` at load time, until `bindTech`.
+     */
+    std::shared_ptr<const TechDb> baseTech;
 
     /** Swept axes, in declaration order. */
     std::vector<GeneratorAxis> axes;
+
+    /** Re-parse `base` against @p tech (non-null). */
+    void bindTech(std::shared_ptr<const TechDb> tech);
+
+    /**
+     * The base bound to @p tech: a copy of `base` when @p tech is
+     * `baseTech` (the same object, not an equal one), otherwise
+     * parsed afresh.
+     */
+    DesignBundle baseFor(const TechDb &tech) const;
 };
 
 /**
@@ -189,22 +210,26 @@ GeneratorTemplate generatorFromJson(const json::Value &entry,
  * (the last axis varies fastest -- odometer order), and are
  * addressed either by flat index or by one index per axis. The
  * full product is never materialized; `instantiate` builds one
- * point's `DesignBundle` on demand.
+ * point's `DesignBundle` on demand. A space refers to its
+ * template, which must outlive it.
  */
 class ScenarioSpace
 {
   public:
-    explicit ScenarioSpace(GeneratorTemplate generator);
+    explicit ScenarioSpace(const GeneratorTemplate &generator);
+
+    /** A space must not outlive its template. */
+    ScenarioSpace(GeneratorTemplate &&) = delete;
 
     const GeneratorTemplate &generator() const
     {
-        return generator_;
+        return *generator_;
     }
 
     /** Axis count. */
     std::size_t axisCount() const
     {
-        return generator_.axes.size();
+        return generator_->axes.size();
     }
 
     /** Total point count (product of axis sizes). */
@@ -232,22 +257,22 @@ class ScenarioSpace
      * spelling `nameAt` produces resolves.
      */
     std::optional<std::vector<std::size_t>>
-    parseName(const std::string &name) const;
+    parseName(std::string_view name) const;
 
     /**
-     * Build the design bundle of one point: instantiate the base
-     * documents, then apply the chosen axis values in a fixed
-     * phase order (nodes, then chiplet splits, then stack counts,
-     * then packaging, then operating overrides; declaration order
-     * within a phase), and stamp the system with the derived
-     * name.
+     * Build the design bundle of one point: take the base bound to
+     * @p tech (`GeneratorTemplate::baseFor`), then apply the
+     * chosen axis values in a fixed phase order (nodes, then
+     * chiplet splits, then stack counts, then packaging, then
+     * operating overrides; declaration order within a phase), and
+     * stamp the system with the derived name.
      */
     DesignBundle
     instantiate(const std::vector<std::size_t> &indices,
                 const TechDb &tech) const;
 
   private:
-    GeneratorTemplate generator_;
+    const GeneratorTemplate *generator_;
     std::size_t size_ = 1;
 };
 

@@ -73,11 +73,9 @@ SearchDriver::run(const SearchSpec &spec)
     if (spec.catalog)
         options.registry.loadFile(*spec.catalog);
 
-    const GeneratorTemplate &generator =
-        options.registry.generator(spec.generator);
-    const ScenarioSpace space(generator);
-
-    AnalysisEngine engine(options);
+    AnalysisEngine engine(std::move(options));
+    const ScenarioSpace space(
+        engine.registry().generator(spec.generator));
     SearchContext ctx(spec, space, engine);
     makeStrategy(spec.strategy)->run(ctx);
 

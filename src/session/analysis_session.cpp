@@ -111,6 +111,16 @@ AnalysisSession::cost(const CostParams &params) const
 ScenarioBuilder &
 ScenarioBuilder::registry(ScenarioRegistry registry)
 {
+    return this->registry(std::make_shared<const ScenarioRegistry>(
+        std::move(registry)));
+}
+
+ScenarioBuilder &
+ScenarioBuilder::registry(
+    std::shared_ptr<const ScenarioRegistry> registry)
+{
+    requireConfig(static_cast<bool>(registry),
+                  "scenario builder needs a registry");
     registry_ = std::move(registry);
     return *this;
 }
@@ -146,6 +156,15 @@ ScenarioBuilder::config(EcoChipConfig config)
 ScenarioBuilder &
 ScenarioBuilder::tech(TechDb tech)
 {
+    return this->tech(
+        std::make_shared<const TechDb>(std::move(tech)));
+}
+
+ScenarioBuilder &
+ScenarioBuilder::tech(std::shared_ptr<const TechDb> tech)
+{
+    requireConfig(static_cast<bool>(tech),
+                  "scenario builder needs a technology database");
     tech_ = std::move(tech);
     return *this;
 }
@@ -187,12 +206,12 @@ ScenarioBuilder::build() const
         const ScenarioRegistry &registry =
             registry_ ? *registry_ : ScenarioRegistry::builtin();
         DesignBundle bundle =
-            registry.instantiate(*scenarioName_, tech_);
+            registry.instantiate(*scenarioName_, *tech_);
         system = std::move(bundle.system);
         config = std::move(bundle.config);
     } else if (designDir_) {
         DesignBundle bundle =
-            loadDesignDirectory(*designDir_, tech_);
+            loadDesignDirectory(*designDir_, *tech_);
         system = std::move(bundle.system);
         config = std::move(bundle.config);
     } else {

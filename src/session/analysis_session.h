@@ -66,21 +66,22 @@
 namespace ecochip {
 
 /**
- * The immutable heart of a session: one technology database and
- * one configuration, bound into a shared estimator whose
- * evaluation cache every analysis of every session holding this
- * context reuses. Thread-safe: the estimator's cache is guarded
- * internally.
+ * The immutable heart of a session: one technology database
+ * (shared, never copied) and one configuration, bound into a
+ * shared estimator whose evaluation cache every analysis of every
+ * session holding this context reuses. Thread-safe: the
+ * estimator's cache is guarded internally.
  */
 class EvaluationContext
 {
   public:
     /**
      * @param config Estimator configuration.
-     * @param tech Technology calibration.
+     * @param tech Shared technology calibration (non-null).
      */
-    explicit EvaluationContext(EcoChipConfig config,
-                               TechDb tech = TechDb())
+    explicit EvaluationContext(
+        EcoChipConfig config,
+        std::shared_ptr<const TechDb> tech = TechDb::defaults())
         : estimator_(std::move(config), std::move(tech))
     {}
 
@@ -192,6 +193,13 @@ class ScenarioBuilder
     /** Use a copy of @p registry instead of the built-in catalog. */
     ScenarioBuilder &registry(ScenarioRegistry registry);
 
+    /**
+     * Use a shared catalog instead of the built-in one, without
+     * copying it (how `AnalysisEngine` binds every request).
+     */
+    ScenarioBuilder &
+    registry(std::shared_ptr<const ScenarioRegistry> registry);
+
     /** Start from a named scenario. */
     ScenarioBuilder &scenario(const std::string &name);
 
@@ -204,8 +212,14 @@ class ScenarioBuilder
     /** Replace the whole configuration. */
     ScenarioBuilder &config(EcoChipConfig config);
 
-    /** Replace the technology calibration. */
+    /** Replace the technology calibration with a copy of @p tech. */
     ScenarioBuilder &tech(TechDb tech);
+
+    /**
+     * Replace the technology calibration with a shared one; the
+     * context built refers to it instead of copying it.
+     */
+    ScenarioBuilder &tech(std::shared_ptr<const TechDb> tech);
 
     /** Override the packaging architecture. */
     ScenarioBuilder &packaging(PackagingArch arch);
@@ -225,13 +239,13 @@ class ScenarioBuilder
     AnalysisSession build() const;
 
   private:
-    /** Custom catalog; the built-in registry when unset. */
-    std::optional<ScenarioRegistry> registry_;
+    /** Custom catalog; the built-in registry when null. */
+    std::shared_ptr<const ScenarioRegistry> registry_;
     std::optional<std::string> scenarioName_;
     std::optional<std::string> designDir_;
     std::optional<SystemSpec> system_;
     std::optional<EcoChipConfig> config_;
-    TechDb tech_;
+    std::shared_ptr<const TechDb> tech_ = TechDb::defaults();
     std::optional<PackagingArch> packaging_;
     std::optional<OperatingSpec> operating_;
     std::optional<bool> includeMaskNre_;

@@ -185,7 +185,15 @@ ScenarioRegistry::add(Scenario scenario)
     requireConfig(!contains(scenario.name),
                   "scenario \"" + scenario.name +
                       "\" already registered");
+    byName_.emplace(scenario.name, scenarios_.size());
     scenarios_.push_back(std::move(scenario));
+}
+
+const Scenario *
+ScenarioRegistry::find(const std::string &name) const
+{
+    const auto it = byName_.find(name);
+    return it == byName_.end() ? nullptr : &scenarios_[it->second];
 }
 
 void
@@ -301,7 +309,7 @@ ScenarioRegistry::loadJson(const json::Value &doc,
             // at first use (the schema checks are
             // tech-independent; only area inversion numerics
             // depend on the database bound at build() time).
-            scenario.make(TechDb());
+            scenario.make(*TechDb::defaults());
         }
         add(std::move(scenario));
     }
@@ -329,6 +337,20 @@ ScenarioRegistry::addGenerator(GeneratorTemplate generator)
     generators_.push_back(std::move(generator));
 }
 
+void
+ScenarioRegistry::bindTech(const std::shared_ptr<const TechDb> &tech)
+{
+    for (auto &generator : generators_) {
+        try {
+            generator.bindTech(tech);
+        } catch (const Error &) {
+            // A base @p tech cannot parse stays bound elsewhere,
+            // so each of its points parses afresh and fails on
+            // its own, one request at a time.
+        }
+    }
+}
+
 const GeneratorTemplate &
 ScenarioRegistry::generator(const std::string &name) const
 {
@@ -351,9 +373,8 @@ ScenarioRegistry::generator(const std::string &name) const
 bool
 ScenarioRegistry::contains(const std::string &name) const
 {
-    for (const auto &scenario : scenarios_)
-        if (scenario.name == name)
-            return true;
+    if (find(name))
+        return true;
     for (const auto &generator : generators_)
         if (ScenarioSpace(generator).parseName(name))
             return true;
@@ -363,9 +384,8 @@ ScenarioRegistry::contains(const std::string &name) const
 const Scenario &
 ScenarioRegistry::get(const std::string &name) const
 {
-    for (const auto &scenario : scenarios_)
-        if (scenario.name == name)
-            return scenario;
+    if (const Scenario *scenario = find(name))
+        return *scenario;
 
     std::string available;
     for (const auto &scenario : scenarios_) {

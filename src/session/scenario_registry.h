@@ -13,8 +13,11 @@
 #ifndef ECOCHIP_SESSION_SCENARIO_REGISTRY_H
 #define ECOCHIP_SESSION_SCENARIO_REGISTRY_H
 
+#include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "io/config_loader.h"
@@ -115,6 +118,15 @@ class ScenarioRegistry
      */
     void addGenerator(GeneratorTemplate generator);
 
+    /**
+     * Parse every generator's base design once against @p tech
+     * (non-null), so `instantiate(name, *tech)` builds a
+     * generator point by copying its base and applying the axes.
+     * Instantiation against any other database parses the base
+     * afresh (`GeneratorTemplate::baseFor`).
+     */
+    void bindTech(const std::shared_ptr<const TechDb> &tech);
+
     /** Loaded generator templates, in registration order. */
     const std::vector<GeneratorTemplate> &generators() const
     {
@@ -164,7 +176,14 @@ class ScenarioRegistry
     }
 
   private:
+    /** The registered scenario named @p name, or null. */
+    const Scenario *find(const std::string &name) const;
+
     std::vector<Scenario> scenarios_;
+
+    /** Index of each scenario in `scenarios_`, by name. */
+    std::unordered_map<std::string, std::size_t> byName_;
+
     std::vector<GeneratorTemplate> generators_;
 };
 

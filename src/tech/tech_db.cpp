@@ -4,6 +4,14 @@
 
 namespace ecochip {
 
+const std::shared_ptr<const TechDb> &
+TechDb::defaults()
+{
+    static const std::shared_ptr<const TechDb> tech =
+        std::make_shared<const TechDb>();
+    return tech;
+}
+
 const std::vector<double> &
 TechDb::standardNodesNm()
 {

@@ -15,6 +15,7 @@
 #ifndef ECOCHIP_TECH_TECH_DB_H
 #define ECOCHIP_TECH_TECH_DB_H
 
+#include <memory>
 #include <vector>
 
 #include "support/interp.h"
@@ -40,6 +41,12 @@ class TechDb
   public:
     /** Construct with the paper-default calibration. */
     TechDb();
+
+    /**
+     * The paper-default calibration, built once and shared: the
+     * database every binding without an explicit one refers to.
+     */
+    static const std::shared_ptr<const TechDb> &defaults();
 
     /** Default node anchors present in every table. */
     static const std::vector<double> &standardNodesNm();

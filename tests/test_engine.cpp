@@ -741,6 +741,260 @@ TEST(Stream, NdjsonEventsRoundTripThroughRequestIo)
     EXPECT_EQ(indices.size(), requests.size());
 }
 
+// ------------------------------------------------ shared binding
+
+/**
+ * A generator and a plain scenario over one architecture whose
+ * chiplets give `area_mm2`, so their transistor counts depend on
+ * the density tables of the TechDb they are parsed against.
+ */
+json::Value
+areaCatalog()
+{
+    return json::parse(R"({
+        "scenarios": [{
+            "name": "plain",
+            "architecture": {
+                "name": "area-soc",
+                "packaging": "rdl_fanout",
+                "chiplets": [
+                    {"name": "core", "type": "logic",
+                     "node_nm": 7, "area_mm2": 120.0},
+                    {"name": "sram", "type": "memory",
+                     "node_nm": 10, "area_mm2": 40.0}
+                ]
+            }
+        }],
+        "generators": [{
+            "name": "area-space",
+            "architecture": {
+                "name": "area-soc",
+                "packaging": "rdl_fanout",
+                "chiplets": [
+                    {"name": "core", "type": "logic",
+                     "node_nm": 7, "area_mm2": 120.0},
+                    {"name": "sram", "type": "memory",
+                     "node_nm": 10, "area_mm2": 40.0}
+                ]
+            },
+            "axes": [
+                {"axis": "node_nm", "chiplet": "core",
+                 "values": [7, 5]},
+                {"axis": "chiplet_count", "chiplet": "core",
+                 "values": [1, 2]}
+            ]
+        }]
+    })");
+}
+
+/** Logic densities well away from the paper's. */
+TechDb
+denserLogicTech()
+{
+    TechDb tech;
+    tech.setTransistorDensityTable(
+        DesignType::Logic,
+        PiecewiseLinear({{3.0, 300.0}, {5.0, 250.0}, {7.0, 180.0},
+                         {10.0, 100.0}, {65.0, 9.0}}));
+    return tech;
+}
+
+std::string
+resultText(const AnalysisResult &result)
+{
+    json::StreamWriter writer;
+    appendResult(writer, result);
+    return writer.take();
+}
+
+TEST(SharedBinding, GeneratorPointsBindAgainstTheEngineTechDb)
+{
+    ScenarioRegistry registry;
+    registry.loadJson(areaCatalog(), "catalog.json", ".");
+    const TechDb custom = denserLogicTech();
+
+    EngineOptions options;
+    options.threads = 2;
+    options.registry = registry;
+    options.tech = custom;
+    AnalysisEngine engine(std::move(options));
+
+    const std::vector<std::string> points = {
+        "area-space/node_nm=7/chiplet_count=1",
+        "area-space/node_nm=5/chiplet_count=2"};
+    std::vector<AnalysisRequest> requests;
+    for (const auto &point : points)
+        requests.push_back(
+            {ScenarioRef::scenario(point), EstimateSpec{}});
+    requests.push_back(
+        {ScenarioRef::scenario("plain"), EstimateSpec{}});
+    const BatchReport report = engine.runBatch(requests);
+    ASSERT_TRUE(report.allOk());
+
+    // The same bytes as a builder that parses the point afresh
+    // against the same calibration.
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const AnalysisSession session = ScenarioBuilder()
+                                            .tech(custom)
+                                            .registry(registry)
+                                            .scenario(points[i])
+                                            .build();
+        EXPECT_EQ(resultText(*report.outcomes[i].result),
+                  resultText(session.estimate()))
+            << points[i];
+    }
+
+    // The first point is the base itself, so it must evaluate
+    // like the plain scenario, which parses its architecture per
+    // build: a base parsed against the load-time TechDb() would
+    // carry other transistor counts and so other die areas.
+    expectSameReport(*report.outcomes[2].result->report,
+                     *report.outcomes[0].result->report);
+
+    // And the calibration matters: the default one gives
+    // another report.
+    const AnalysisSession paper = ScenarioBuilder()
+                                      .registry(registry)
+                                      .scenario(points[0])
+                                      .build();
+    EXPECT_NE(resultText(paper.estimate()),
+              resultText(*report.outcomes[0].result));
+}
+
+// ------------------------------------------------ encoded batches
+
+/** The requests and catalog-extended registry of a shipped batch. */
+std::pair<std::vector<AnalysisRequest>, ScenarioRegistry>
+shippedBatch(const std::filesystem::path &path)
+{
+    const BatchFile batch = loadBatchFile(path.string());
+    ScenarioRegistry registry = ScenarioRegistry::builtin();
+    if (batch.scenarioCatalog)
+        registry.loadFile(*batch.scenarioCatalog);
+    return {batch.requests, registry};
+}
+
+/**
+ * The batch runs `eco_chip --batch` encodes on its workers: the
+ * report file spliced from worker texts and the stream lines must
+ * be the bytes of the serial encoders, at every thread count.
+ */
+void
+expectEncodedLikeSerial(const std::vector<AnalysisRequest> &requests,
+                        const ScenarioRegistry &registry,
+                        const std::string &label)
+{
+    // One file per test: ctest runs the cases as parallel
+    // processes.
+    const auto path =
+        std::filesystem::path(::testing::TempDir()) /
+        (std::string("ecochip_encoded_") +
+         ::testing::UnitTest::GetInstance()
+             ->current_test_info()
+             ->name() +
+         ".json");
+    for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(label + " at " + std::to_string(threads) +
+                     " thread(s)");
+        EngineOptions options;
+        options.threads = threads;
+        options.registry = registry;
+        AnalysisEngine engine(std::move(options));
+        std::vector<std::string> lines;
+        const EncodedBatch run = runEncodedBatch(
+            engine, requests, true,
+            [&lines](const std::string &line) {
+                lines.push_back(line);
+            });
+        ASSERT_EQ(run.report.outcomes.size(), requests.size());
+        ASSERT_EQ(run.outcomeTexts.size(), requests.size());
+
+        writeBatchReportFile(run, path.string());
+        std::ifstream in(path, std::ios::binary);
+        std::stringstream file;
+        file << in.rdbuf();
+        EXPECT_EQ(file.str(),
+                  batchReportText(run.report, true) + "\n");
+
+        // Equal to a plain runBatch on a fresh engine, too.
+        EngineOptions serial;
+        serial.registry = registry;
+        AnalysisEngine reference(std::move(serial));
+        EXPECT_EQ(file.str(),
+                  batchReportText(reference.runBatch(requests),
+                                  true) +
+                      "\n");
+
+        ASSERT_EQ(lines.size(), requests.size());
+        std::set<std::size_t> seen;
+        for (const auto &line : lines) {
+            const auto index = static_cast<std::size_t>(
+                json::parse(line).at("index").asInteger());
+            ASSERT_LT(index, requests.size());
+            EXPECT_TRUE(seen.insert(index).second) << index;
+            EXPECT_EQ(line, streamEventLine(
+                                index, run.report.outcomes[index]));
+        }
+    }
+    std::filesystem::remove(path);
+}
+
+TEST(EncodedBatch, ShippedBatchesSpliceLikeTheSerialEncoders)
+{
+    const auto dir =
+        std::filesystem::path(ECOCHIP_DATA_DIR) / "requests";
+    std::size_t batches = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        const auto [requests, registry] = shippedBatch(entry.path());
+        expectEncodedLikeSerial(requests, registry,
+                                entry.path().filename().string());
+        ++batches;
+    }
+    EXPECT_GE(batches, 2u);
+}
+
+TEST(EncodedBatch, FailuresOneRequestAndEmptyBatchesSplice)
+{
+    ScenarioRegistry registry = ScenarioRegistry::builtin();
+    registry.loadJson(areaCatalog(), "catalog.json", ".");
+
+    std::vector<AnalysisRequest> requests;
+    requests.push_back({ScenarioRef::scenario(
+                            "area-space/node_nm=5/chiplet_count=2"),
+                        EstimateSpec{}});
+    // Not a point: an unknown axis, and an off-axis value.
+    requests.push_back(
+        {ScenarioRef::scenario("area-space/packaging=stack_3d"),
+         EstimateSpec{}});
+    requests.push_back({ScenarioRef::scenario(
+                            "area-space/node_nm=6/chiplet_count=1"),
+                        CostSpec{}});
+    // An error text carrying quotes and control characters.
+    requests.push_back(
+        {ScenarioRef::scenario("odd \"name\"\n\t\x01\x1f end"),
+         EstimateSpec{}});
+    requests.push_back({ScenarioRef::scenario(
+                            "area-space/node_nm=7/chiplet_count=1"),
+                        CostSpec{}});
+    SweepSpec sweep;
+    sweep.nodesNm = {7.0, 10.0};
+    requests.push_back({ScenarioRef::scenario("plain"), sweep});
+
+    expectEncodedLikeSerial(requests, registry, "failures");
+    expectEncodedLikeSerial({requests.front()}, registry, "one");
+    expectEncodedLikeSerial({}, registry, "empty");
+
+    // The failures are failures, and the odd text survives.
+    AnalysisEngine engine(EngineOptions{1, registry, TechDb()});
+    const BatchReport report = engine.runBatch(requests);
+    EXPECT_EQ(report.failed(), 3u);
+    EXPECT_NE(report.outcomes[3].error.find("\n\t\x01\x1f"),
+              std::string::npos);
+}
+
 // ------------------------------------------------ sharded runs
 
 /** data/requests path of the shipped tree. */

@@ -14,6 +14,9 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -282,6 +285,19 @@ TEST(JsonFile, FailedWriteThrowsNamingThePath)
     }
 }
 
+TEST(JsonFile, WritesPiecesInOrderAsOneDocument)
+{
+    const std::string path =
+        ::testing::TempDir() + "/ecochip_json_pieces.json";
+    writeFile(std::vector<std::string_view>{"[1,", "", "{\"a\":2}", "]"},
+              path);
+    std::ifstream in(path, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text, "[1,{\"a\":2}]\n");
+    std::remove(path.c_str());
+}
+
 TEST(JsonFile, MissingFileThrows)
 {
     EXPECT_THROW(parseFile("/nonexistent/nope.json"), ConfigError);
@@ -363,6 +379,67 @@ TEST(StreamWriter, RawSplicesVerbatim)
     writer.raw(R"([1,{"x":true}])");
     writer.endObject();
     EXPECT_EQ(writer.take(), R"({"payload":[1,{"x":true}]})");
+}
+
+TEST(StreamWriter, PlaceholderSplicesABaseDepthDocumentLikeOneWriter)
+{
+    // The whole document from one writer ...
+    StreamWriter whole(true);
+    whole.beginObject();
+    whole.key("items");
+    whole.beginArray();
+    for (int i = 0; i < 3; ++i) {
+        whole.beginObject();
+        whole.key("i");
+        whole.number(i);
+        whole.key("empty");
+        whole.beginArray();
+        whole.endArray();
+        whole.endObject();
+    }
+    whole.endArray();
+    whole.endObject();
+    const std::string expected = whole.take();
+
+    // ... equals a frame with placeholders, spliced with items
+    // each written at the placeholder's depth.
+    StreamWriter frame(true);
+    frame.beginObject();
+    frame.key("items");
+    frame.beginArray();
+    std::vector<std::size_t> slots;
+    std::vector<std::string> items;
+    for (int i = 0; i < 3; ++i) {
+        slots.push_back(frame.placeholder());
+        StreamWriter item(true, frame.depth());
+        item.beginObject();
+        item.key("i");
+        item.number(i);
+        item.key("empty");
+        item.beginArray();
+        item.endArray();
+        item.endObject();
+        items.push_back(item.take());
+    }
+    frame.endArray();
+    frame.endObject();
+    const std::string text = frame.take();
+    std::string spliced;
+    std::size_t from = 0;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        spliced += text.substr(from, slots[i] - from);
+        spliced += items[i];
+        from = slots[i];
+    }
+    spliced += text.substr(from);
+    EXPECT_EQ(spliced, expected);
+
+    // The base depth indents pretty output only.
+    StreamWriter compact(false, 2);
+    compact.beginArray();
+    compact.number(1);
+    compact.endArray();
+    EXPECT_EQ(compact.take(), "[1]");
 }
 
 TEST(StreamWriter, ScopeViolationsThrow)

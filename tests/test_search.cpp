@@ -112,18 +112,20 @@ hbmCatalog()
     })");
 }
 
-ScenarioSpace
-pcaSpace()
+ScenarioRegistry
+pcaRegistry()
 {
     ScenarioRegistry registry;
     registry.loadJson(pcaCatalog(), "catalog.json", ".");
-    return ScenarioSpace(registry.generator("pca"));
+    return registry;
 }
 
 class ScenarioSpaceTest : public ::testing::Test
 {
   protected:
-    ScenarioSpace space_ = pcaSpace();
+    // The space refers to its template: keep the registry alive.
+    ScenarioRegistry registry_ = pcaRegistry();
+    ScenarioSpace space_{registry_.generator("pca")};
     TechDb tech_;
 };
 
@@ -493,10 +495,9 @@ TEST(SearchDriverTest, ExhaustiveMatchesHandExpandedBatch)
     options.threads = 4;
     options.registry.loadJson(pcaCatalog(), "catalog.json",
                               ".");
-    const ScenarioSpace space(
-        options.registry.generator("pca"));
-    const auto requests = SearchDriver::expand(spec, space);
     AnalysisEngine engine(std::move(options));
+    const ScenarioSpace space(engine.registry().generator("pca"));
+    const auto requests = SearchDriver::expand(spec, space);
     const BatchReport by_hand = engine.runBatch(requests);
 
     // Byte-identity through the report serializer -- the

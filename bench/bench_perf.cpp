@@ -32,6 +32,8 @@
 #include "json/stream_writer.h"
 #include "search/search_driver.h"
 #include "session/analysis_session.h"
+#include "support/rng.h"
+#include "support/stats.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define ECOCHIP_BENCH_HAS_SERVER 1
@@ -139,6 +141,47 @@ BM_MonteCarloBatched(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MonteCarloBatched)->Arg(1)->Arg(4)->Arg(8);
+
+/**
+ * One serial Monte-Carlo run of range(0) trials: draws, evaluation
+ * and statistics.
+ */
+void
+BM_MonteCarloTrials(benchmark::State &state)
+{
+    const AnalysisSession session =
+        ScenarioBuilder().scenario("ga102").build();
+    const int trials = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            session.monteCarlo(trials, 42, Parallelism{1}));
+    }
+    state.SetItemsProcessed(state.iterations() * trials);
+}
+BENCHMARK(BM_MonteCarloTrials)
+    ->Arg(90000)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * SampleStats over range(0) samples in a narrow positive band, the
+ * shape of a Monte-Carlo metric column. Each iteration copies the
+ * input, as a run hands its column over.
+ */
+void
+BM_SampleStats(benchmark::State &state)
+{
+    Rng rng(static_cast<std::uint64_t>(state.range(0)));
+    std::vector<double> samples(
+        static_cast<std::size_t>(state.range(0)));
+    for (double &v : samples)
+        v = rng.uniform(1500.0, 2500.0);
+    for (auto _ : state) {
+        const SampleStats stats(samples);
+        benchmark::DoNotOptimize(stats.percentile(95.0));
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SampleStats)->Arg(256)->Arg(90000);
 
 std::vector<ChipletBox>
 floorplanBoxes(int nc)

@@ -10,18 +10,22 @@
  * stated with confidence bounds.
  *
  * Trials are evaluated through the data-oriented batch kernel
- * (src/kernels/): the sampled scales fill a structure-of-arrays
- * TrialBatch, one BatchEvaluator precomputes every trial-invariant
- * quantity, and worker threads from the shared engine ThreadPool
- * stream contiguous trial ranges through it. Reports stay
- * bit-identical to the legacy copy-the-config-per-trial path for
- * equal seeds, at any thread count.
+ * (src/kernels/): one BatchEvaluator precomputes every
+ * trial-invariant quantity, and each worker draws and evaluates
+ * fixed-size blocks of trials through one reused structure-of-arrays
+ * TrialBatch. A run with enough trials spreads its blocks over a
+ * private pool of worker threads (see MonteCarloAnalyzer::workers).
+ * Reports stay bit-identical to the legacy
+ * copy-the-config-per-trial path for equal seeds, at any thread
+ * count.
  */
 
 #ifndef ECOCHIP_ANALYSIS_MONTECARLO_H
 #define ECOCHIP_ANALYSIS_MONTECARLO_H
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "core/ecochip.h"
 #include "support/stats.h"
@@ -61,13 +65,17 @@ struct UncertaintyReport
  * Trial-batching knob for Monte-Carlo runs.
  *
  * Trials are statistically independent, so they batch across a
- * pool of worker threads; the sampled input scales are always
- * drawn serially from the seed first, which keeps every report
- * bit-identical to the single-threaded run for equal seeds.
+ * pool of worker threads. Each trial's draws sit at the same
+ * positions of the seed's stream whichever worker evaluates it,
+ * which keeps every report bit-identical to the single-threaded
+ * run for equal seeds.
  */
 struct Parallelism
 {
-    /** Worker threads (1 = run serially on the caller). */
+    /**
+     * Most worker threads to use (1 = run serially on the
+     * caller); MonteCarloAnalyzer::workers caps it further.
+     */
     int threads = 1;
 
     /** One worker per hardware thread. */
@@ -78,13 +86,33 @@ struct Parallelism
 class MonteCarloAnalyzer
 {
   public:
+    /** Trials a worker draws and evaluates at a time. */
+    static constexpr std::size_t kBlock = 1024;
+
+    /**
+     * Fewest trials worth a worker thread of their own: one block,
+     * which outlasts starting and joining the thread.
+     */
+    static constexpr int kMinTrialsPerWorker = static_cast<int>(kBlock);
+
+    /**
+     * Worker threads, the caller included, for a run of @p trials
+     * asking for @p threads on a machine with @p hardware hardware
+     * threads (0 = unknown, counted as 1):
+     * min(threads, ceil(trials / kMinTrialsPerWorker), hardware),
+     * and at least 1. One worker means the run is inline.
+     */
+    static int workers(int threads, int trials, unsigned hardware);
+
     /**
      * @param config Baseline configuration.
-     * @param tech Baseline technology calibration.
+     * @param tech Shared baseline technology calibration
+     *        (non-null).
      * @param bands Sampling half-widths.
      */
     explicit MonteCarloAnalyzer(
-        EcoChipConfig config, TechDb tech = TechDb(),
+        EcoChipConfig config,
+        std::shared_ptr<const TechDb> tech = TechDb::defaults(),
         UncertaintyBands bands = UncertaintyBands());
 
     /**
@@ -102,7 +130,7 @@ class MonteCarloAnalyzer
 
   private:
     EcoChipConfig config_;
-    TechDb tech_;
+    std::shared_ptr<const TechDb> tech_;
     UncertaintyBands bands_;
 };
 

@@ -24,10 +24,12 @@ scaledNodeTable(const std::function<double(double)> &eval,
 
 } // namespace
 
-SensitivityAnalyzer::SensitivityAnalyzer(EcoChipConfig config,
-                                         TechDb tech)
+SensitivityAnalyzer::SensitivityAnalyzer(
+    EcoChipConfig config, std::shared_ptr<const TechDb> tech)
     : config_(std::move(config)), tech_(std::move(tech))
 {
+    requireConfig(static_cast<bool>(tech_),
+                  "sensitivity needs a technology database");
 }
 
 std::vector<SensitivityParameter>
@@ -185,7 +187,7 @@ SensitivityAnalyzer::analyze(
                   1.0 + delta);
     }
 
-    const BatchEvaluator evaluator(config_, tech_, system);
+    const BatchEvaluator evaluator(config_, *tech_, system);
     std::vector<double> embodied(batch.size()),
         operational(batch.size()), total(batch.size());
     const double *metrics = nullptr;
@@ -232,7 +234,7 @@ SensitivityAnalyzer::analyzeScalar(
     CarbonMetric metric, double delta) const
 {
     const double base =
-        evaluate(system, config_, tech_, metric);
+        evaluate(system, config_, *tech_, metric);
     requireModel(base > 0.0, "baseline metric must be positive");
 
     std::vector<SensitivityResult> results;
@@ -243,7 +245,7 @@ SensitivityAnalyzer::analyzeScalar(
 
         for (double sign : {-1.0, +1.0}) {
             EcoChipConfig config = config_;
-            TechDb tech = tech_;
+            TechDb tech = *tech_;
             param.apply(config, tech, 1.0 + sign * delta);
             const double value =
                 evaluate(system, config, tech, metric);

@@ -16,6 +16,7 @@
 #define ECOCHIP_ANALYSIS_SENSITIVITY_H
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -100,10 +101,12 @@ class SensitivityAnalyzer
   public:
     /**
      * @param config Baseline configuration.
-     * @param tech Baseline technology calibration.
+     * @param tech Shared baseline technology calibration
+     *        (non-null).
      */
-    explicit SensitivityAnalyzer(EcoChipConfig config,
-                                 TechDb tech = TechDb());
+    explicit SensitivityAnalyzer(
+        EcoChipConfig config,
+        std::shared_ptr<const TechDb> tech = TechDb::defaults());
 
     /**
      * The standard parameter set: defect density, fab EPA, fab
@@ -144,7 +147,7 @@ class SensitivityAnalyzer
         CarbonMetric metric, double delta) const;
 
     EcoChipConfig config_;
-    TechDb tech_;
+    std::shared_ptr<const TechDb> tech_;
 };
 
 } // namespace ecochip

@@ -171,6 +171,12 @@ class EcoChip
     /** Technology database in use. */
     const TechDb &tech() const { return *tech_; }
 
+    /** The same database, shared (never null). */
+    const std::shared_ptr<const TechDb> &sharedTech() const
+    {
+        return tech_;
+    }
+
     /** Configuration in use. */
     const EcoChipConfig &config() const { return config_; }
 

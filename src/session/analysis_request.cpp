@@ -101,7 +101,7 @@ runMonteCarlo(const AnalysisSession &session,
               const MonteCarloSpec &spec)
 {
     MonteCarloAnalyzer analyzer(session.context().config(),
-                                session.context().tech(),
+                                session.context().sharedTech(),
                                 spec.bands);
 
     AnalysisResult result;
@@ -126,7 +126,7 @@ runSensitivity(const AnalysisSession &session,
                const SensitivitySpec &spec)
 {
     SensitivityAnalyzer analyzer(session.context().config(),
-                                 session.context().tech());
+                                 session.context().sharedTech());
 
     AnalysisResult result;
     result.kind = AnalysisKind::Sensitivity;

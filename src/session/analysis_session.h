@@ -91,6 +91,12 @@ class EvaluationContext
     /** Technology database in use. */
     const TechDb &tech() const { return estimator_.tech(); }
 
+    /** The same database, shared (never null). */
+    const std::shared_ptr<const TechDb> &sharedTech() const
+    {
+        return estimator_.sharedTech();
+    }
+
     /** Configuration in use. */
     const EcoChipConfig &config() const
     {

@@ -31,7 +31,7 @@ class Rng
     std::uint64_t
     next()
     {
-        state_ += 0x9e3779b97f4a7c15ULL;
+        state_ += kGamma;
         std::uint64_t z = state_;
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -53,7 +53,19 @@ class Rng
         return lo + (hi - lo) * uniform01();
     }
 
+    /**
+     * Jump @p n values ahead in O(1): the state is a counter, so
+     * this equals @p n calls to next(), with the same wrap-around.
+     */
+    void
+    skip(std::uint64_t n)
+    {
+        state_ += n * kGamma;
+    }
+
   private:
+    static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
     std::uint64_t state_;
 };
 

@@ -14,7 +14,17 @@ namespace ecochip {
 class SampleStats
 {
   public:
-    /** Construct from samples (copied and sorted internally). */
+    /**
+     * Take ownership of @p samples and sort them in place on
+     * order-preserving keys (from 1024 samples on, an LSD radix
+     * sort through one scratch buffer of the same size). The mean
+     * and standard deviation are summed in sorted order.
+     *
+     * Non-finite samples never fail: infinities sort to the ends,
+     * and a NaN sorts below -inf or above +inf by its sign bit and
+     * turns the mean and standard deviation into NaN. -0 sorts
+     * before +0.
+     */
     explicit SampleStats(std::vector<double> samples);
 
     /** Number of samples. */

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "analysis/montecarlo.h"
 #include "analysis/sensitivity.h"
 #include "core/testcases.h"
@@ -26,6 +29,24 @@ TEST(Rng, DeterministicForEqualSeeds)
     for (int i = 0; i < 100; ++i)
         differs |= a2.next() != c.next();
     EXPECT_TRUE(differs);
+}
+
+TEST(Rng, SkipEqualsThatManyDraws)
+{
+    for (std::uint64_t n : {0ull, 1ull, 5ull, 4096ull}) {
+        Rng drawn(31), skipped(31);
+        for (std::uint64_t i = 0; i < n; ++i)
+            drawn.next();
+        skipped.skip(n);
+        for (int i = 0; i < 8; ++i)
+            EXPECT_EQ(drawn.next(), skipped.next());
+    }
+    // Skips compose, and the counter wraps like repeated draws.
+    Rng once(~0ull), twice(~0ull);
+    once.skip(5 * 1000003ull);
+    twice.skip(5 * 1000000ull);
+    twice.skip(15);
+    EXPECT_EQ(once.next(), twice.next());
 }
 
 TEST(Rng, Uniform01InRangeAndWellSpread)
@@ -267,6 +288,38 @@ TEST_F(MonteCarloTest, DistributionBracketsDeterministicValue)
     EXPECT_LT(report.embodied.stddev(), 0.5 * point);
 }
 
+TEST(MonteCarloWorkers, InlineBelowOneWorkerOfTrials)
+{
+    const int min = MonteCarloAnalyzer::kMinTrialsPerWorker;
+    EXPECT_EQ(MonteCarloAnalyzer::workers(1, 1000000, 64), 1);
+    EXPECT_EQ(MonteCarloAnalyzer::workers(8, 2, 64), 1);
+    EXPECT_EQ(MonteCarloAnalyzer::workers(8, 256, 64), 1);
+    EXPECT_EQ(MonteCarloAnalyzer::workers(8, min, 64), 1);
+    EXPECT_EQ(MonteCarloAnalyzer::workers(8, min + 1, 64), 2);
+    EXPECT_EQ(MonteCarloAnalyzer::workers(8, 3 * min, 64), 3);
+    EXPECT_EQ(MonteCarloAnalyzer::workers(8, 3 * min + 1, 64), 4);
+}
+
+TEST(MonteCarloWorkers, CappedByRequestAndHardware)
+{
+    const int max_threads = 4096;
+    const int many_trials = 100000000;
+    EXPECT_EQ(MonteCarloAnalyzer::workers(max_threads, many_trials,
+                                          4),
+              4);
+    EXPECT_EQ(MonteCarloAnalyzer::workers(3, many_trials, 64), 3);
+    EXPECT_EQ(MonteCarloAnalyzer::workers(max_threads, 90000, 256),
+              (90000 + MonteCarloAnalyzer::kMinTrialsPerWorker - 1) /
+                  MonteCarloAnalyzer::kMinTrialsPerWorker);
+    // An unknown hardware count runs inline.
+    EXPECT_EQ(MonteCarloAnalyzer::workers(8, many_trials, 0), 1);
+    EXPECT_EQ(MonteCarloAnalyzer::workers(8, many_trials, 1), 1);
+    // The largest trial count does not overflow the rounding.
+    EXPECT_EQ(MonteCarloAnalyzer::workers(
+                  max_threads, std::numeric_limits<int>::max(), 16),
+              16);
+}
+
 TEST_F(MonteCarloTest, ZeroBandsCollapseToPointEstimate)
 {
     UncertaintyBands none;
@@ -275,7 +328,7 @@ TEST_F(MonteCarloTest, ZeroBandsCollapseToPointEstimate)
     none.intensity = 0.0;
     none.designTime = 0.0;
     none.dutyCycle = 0.0;
-    MonteCarloAnalyzer analyzer(config(), TechDb(), none);
+    MonteCarloAnalyzer analyzer(config(), TechDb::defaults(), none);
     TechDb tech;
     const SystemSpec system =
         testcases::ga102ThreeChiplet(tech, 7.0, 14.0, 10.0);
@@ -294,8 +347,9 @@ TEST_F(MonteCarloTest, Validation)
 {
     UncertaintyBands bad;
     bad.defectDensity = 1.5;
-    EXPECT_THROW(MonteCarloAnalyzer(config(), TechDb(), bad),
-                 ConfigError);
+    EXPECT_THROW(
+        MonteCarloAnalyzer(config(), TechDb::defaults(), bad),
+        ConfigError);
     MonteCarloAnalyzer analyzer(config());
     TechDb tech;
     EXPECT_THROW(

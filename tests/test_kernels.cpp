@@ -17,14 +17,19 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "analysis/montecarlo.h"
 #include "analysis/sensitivity.h"
 #include "core/explorer.h"
 #include "core/testcases.h"
+#include "kernels/batch_evaluator.h"
+#include "kernels/trial_batch.h"
 #include "session/scenario_registry.h"
 #include "support/rng.h"
+#include "support/stats.h"
 
 namespace ecochip {
 namespace {
@@ -416,8 +421,9 @@ TEST(KernelMonteCarloGolden, BitIdenticalToScalarTrials)
                 bundle.config, tech, bands, bundle.system, 16,
                 seed);
 
-            const MonteCarloAnalyzer analyzer(bundle.config, tech,
-                                              bands);
+            const MonteCarloAnalyzer analyzer(
+                bundle.config, std::make_shared<const TechDb>(tech),
+                bands);
             const UncertaintyReport actual = analyzer.run(
                 bundle.system, 16, seed, Parallelism{1});
 
@@ -439,7 +445,8 @@ TEST(KernelMonteCarloGolden, ThreadCountNeverChangesTheReport)
     const SystemSpec system =
         testcases::ga102ThreeChiplet(tech, 7.0, 10.0, 14.0);
 
-    const MonteCarloAnalyzer analyzer(config, tech);
+    const MonteCarloAnalyzer analyzer(
+        config, std::make_shared<const TechDb>(tech));
     const UncertaintyReport serial =
         analyzer.run(system, 24, 42, Parallelism{1});
     for (int threads : {2, 4, 7}) {
@@ -468,7 +475,8 @@ TEST(KernelSensitivityGolden, BatchMatchesScalarFallback)
         SCOPED_TRACE("scenario " + name);
         const DesignBundle bundle =
             ScenarioRegistry::builtin().instantiate(name, tech);
-        const SensitivityAnalyzer analyzer(bundle.config, tech);
+        const SensitivityAnalyzer analyzer(
+            bundle.config, std::make_shared<const TechDb>(tech));
 
         const auto batched =
             SensitivityAnalyzer::standardParameters();
@@ -513,7 +521,8 @@ TEST(KernelSensitivityGolden, MixedCustomParametersStillScalar)
     config.operating = testcases::ga102Operating();
     const SystemSpec system =
         testcases::ga102ThreeChiplet(tech, 7.0, 10.0, 14.0);
-    const SensitivityAnalyzer analyzer(config, tech);
+    const SensitivityAnalyzer analyzer(
+        config, std::make_shared<const TechDb>(tech));
 
     auto params = SensitivityAnalyzer::standardParameters();
     params.push_back(
@@ -538,6 +547,317 @@ TEST(KernelSensitivityGolden, MixedCustomParametersStillScalar)
         EXPECT_BITEQ(expected[i].highValue, actual[i].highValue);
         EXPECT_BITEQ(expected[i].elasticity,
                      actual[i].elasticity);
+    }
+}
+
+// ------------------------------------------ sample-stats oracle
+
+/**
+ * The comparison-sort statistics: std::sort, then the mean and
+ * standard deviation summed in sorted order, and the linear
+ * percentile. Independent of SampleStats, so it catches a wrong
+ * sort order or a lost sample.
+ */
+struct SortedReference
+{
+    std::vector<double> sorted;
+    double mean = 0.0;
+    double stddev = 0.0;
+
+    explicit SortedReference(std::vector<double> samples)
+        : sorted(std::move(samples))
+    {
+        std::sort(sorted.begin(), sorted.end());
+        double sum = 0.0;
+        for (double v : sorted)
+            sum += v;
+        mean = sum / static_cast<double>(sorted.size());
+        if (sorted.size() > 1) {
+            double ss = 0.0;
+            for (double v : sorted)
+                ss += (v - mean) * (v - mean);
+            stddev = std::sqrt(
+                ss / static_cast<double>(sorted.size() - 1));
+        }
+    }
+
+    double
+    percentile(double p) const
+    {
+        if (sorted.size() == 1)
+            return sorted.front();
+        const double rank =
+            p / 100.0 * static_cast<double>(sorted.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(rank);
+        const double frac = rank - static_cast<double>(lo);
+        if (lo + 1 >= sorted.size())
+            return sorted.back();
+        return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
+    }
+};
+
+constexpr double kPercentiles[] = {0.0,  1.0,  5.0,  25.0, 50.0,
+                                   62.5, 75.0, 95.0, 99.0, 100.0};
+
+void
+expectMatchesReference(const std::vector<double> &samples)
+{
+    SCOPED_TRACE("n = " + std::to_string(samples.size()));
+    const SortedReference expected(samples);
+    const SampleStats actual(samples);
+    ASSERT_EQ(expected.sorted.size(), actual.count());
+    EXPECT_BITEQ(expected.mean, actual.mean());
+    EXPECT_BITEQ(expected.stddev, actual.stddev());
+    EXPECT_BITEQ(expected.sorted.front(), actual.min());
+    EXPECT_BITEQ(expected.sorted.back(), actual.max());
+    for (double p : kPercentiles)
+        EXPECT_BITEQ(expected.percentile(p), actual.percentile(p));
+    // Every sample is its own percentile at an exact rank.
+    if (expected.sorted.size() <= 65) {
+        for (std::size_t i = 0; i < expected.sorted.size(); ++i) {
+            const double p =
+                expected.sorted.size() == 1
+                    ? 0.0
+                    : 100.0 * static_cast<double>(i) /
+                          static_cast<double>(
+                              expected.sorted.size() - 1);
+            EXPECT_BITEQ(expected.percentile(p),
+                         actual.percentile(p));
+        }
+    }
+}
+
+/** Samples spread over signs and twelve decades of magnitude. */
+std::vector<double>
+mixedSamples(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<double> samples(n);
+    for (double &v : samples) {
+        const double magnitude =
+            std::pow(10.0, rng.uniform(-6.0, 6.0));
+        v = rng.uniform01() < 0.3 ? -magnitude : magnitude;
+    }
+    return samples;
+}
+
+TEST(SampleStatsOracle, MatchesComparisonSortAtEverySize)
+{
+    // 1024 samples is where the radix sort takes over.
+    for (std::size_t n :
+         {1u, 2u, 63u, 64u, 65u, 1000u, 1023u, 1024u, 1025u, 90000u})
+        expectMatchesReference(mixedSamples(n, 17 + n));
+}
+
+TEST(SampleStatsOracle, NarrowPositiveBandLikeMonteCarloOutput)
+{
+    // Same sign and exponent everywhere: the high-byte passes are
+    // skipped, the low ones still order the samples.
+    for (std::size_t n : {2u, 64u, 90000u}) {
+        Rng rng(n);
+        std::vector<double> samples(n);
+        for (double &v : samples)
+            v = rng.uniform(1024.0, 2048.0);
+        expectMatchesReference(samples);
+    }
+}
+
+/** Sample counts on both sides of the switch to the radix sort. */
+constexpr std::size_t kSmallAndRadixSizes[] = {65, 2000};
+
+/** @p pattern repeated up to @p n samples. */
+std::vector<double>
+repeated(const std::vector<double> &pattern, std::size_t n)
+{
+    std::vector<double> samples(n);
+    for (std::size_t i = 0; i < n; ++i)
+        samples[i] = pattern[i % pattern.size()];
+    return samples;
+}
+
+TEST(SampleStatsOracle, Duplicates)
+{
+    for (std::size_t n : kSmallAndRadixSizes) {
+        expectMatchesReference(std::vector<double>(n, 3.25));
+        Rng rng(5);
+        std::vector<double> samples(n);
+        const double levels[] = {-2.5, -1.0, 0.5, 7.0, 1e9};
+        for (double &v : samples)
+            v = levels[rng.next() % 5];
+        expectMatchesReference(samples);
+    }
+}
+
+TEST(SampleStatsOracle, NegativeValues)
+{
+    for (std::size_t n : {2u, 63u, 1000u, 5000u}) {
+        std::vector<double> samples = mixedSamples(n, n);
+        for (double &v : samples)
+            v = -std::fabs(v);
+        expectMatchesReference(samples);
+    }
+}
+
+TEST(SampleStatsOracle, Subnormals)
+{
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double least_normal = std::numeric_limits<double>::min();
+    for (std::size_t n : kSmallAndRadixSizes) {
+        std::vector<double> samples = {
+            tiny,          -tiny,          3 * tiny,
+            least_normal,  -least_normal,  least_normal / 2,
+            -least_normal / 3, 1.0,        -1.0};
+        Rng rng(9);
+        while (samples.size() < n)
+            samples.push_back((rng.uniform01() - 0.5) *
+                              least_normal);
+        expectMatchesReference(samples);
+    }
+}
+
+TEST(SampleStatsOracle, Infinities)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (std::size_t n : kSmallAndRadixSizes) {
+        std::vector<double> samples = mixedSamples(n - 2, 3);
+        samples.push_back(inf);
+        expectMatchesReference(samples);
+        samples.push_back(-inf);
+        expectMatchesReference(samples);
+        samples[10] = inf;
+        samples[20] = -inf;
+        expectMatchesReference(samples);
+    }
+}
+
+TEST(SampleStatsOracle, MixedSignedZerosCompareByValue)
+{
+    // std::sort leaves -0 and +0 in either order; SampleStats puts
+    // -0 first. Both orders give the same values.
+    const std::vector<double> pattern = {0.0, -0.0, 1.5, -0.0, -2.0,
+                                         0.0, -0.0, 0.0, 3.0};
+    for (std::size_t n : {std::size_t{4}, pattern.size(),
+                          std::size_t{2000}}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const std::vector<double> samples = repeated(pattern, n);
+        const SortedReference expected(samples);
+        const SampleStats actual(samples);
+        EXPECT_EQ(expected.mean, actual.mean());
+        EXPECT_EQ(expected.stddev, actual.stddev());
+        EXPECT_EQ(expected.sorted.front(), actual.min());
+        EXPECT_EQ(expected.sorted.back(), actual.max());
+        for (double p : kPercentiles)
+            EXPECT_EQ(expected.percentile(p), actual.percentile(p));
+    }
+    for (std::size_t n : kSmallAndRadixSizes) {
+        const SampleStats zeros(repeated({0.0, -0.0, 0.0}, n));
+        EXPECT_TRUE(std::signbit(zeros.min()));
+        EXPECT_FALSE(std::signbit(zeros.max()));
+    }
+}
+
+TEST(SampleStatsOracle, NanSortsToAnEndByItsSignBit)
+{
+    // No comparison of doubles can order a NaN; SampleStats puts a
+    // positive NaN above +inf and a negative one below -inf. The
+    // sums read NaN.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (std::size_t n : {std::size_t{5}, std::size_t{2000}}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const SampleStats positive(
+            repeated({2.0, nan, -1.0, inf, 0.5}, n));
+        EXPECT_EQ(positive.count(), n);
+        EXPECT_EQ(positive.min(), -1.0);
+        EXPECT_TRUE(std::isnan(positive.max()));
+        EXPECT_EQ(positive.percentile(25.0), 0.5);
+        EXPECT_TRUE(std::isnan(positive.mean()));
+        EXPECT_TRUE(std::isnan(positive.stddev()));
+
+        const SampleStats negative(
+            repeated({2.0, -nan, -inf, 0.5}, n));
+        EXPECT_TRUE(std::isnan(negative.min()));
+        EXPECT_EQ(negative.max(), 2.0);
+        EXPECT_TRUE(std::isnan(negative.mean()));
+    }
+}
+
+// ------------------------------------ Monte-Carlo block oracle
+
+/**
+ * The draw-everything-first Monte-Carlo loop: every trial's scales
+ * drawn serially from the seed into one trial-count-sized batch,
+ * then one evaluation over all of it.
+ */
+UncertaintyReport
+drawAllFirstMonteCarlo(const EcoChipConfig &config,
+                       const TechDb &tech,
+                       const UncertaintyBands &bands,
+                       const SystemSpec &system, int trials,
+                       std::uint64_t seed)
+{
+    Rng rng(seed);
+    auto scale_band = [&rng](double half_width) {
+        return rng.uniform(1.0 - half_width, 1.0 + half_width);
+    };
+    TrialBatch batch;
+    batch.resize(static_cast<std::size_t>(trials));
+    for (int trial = 0; trial < trials; ++trial) {
+        const double defect_density =
+            scale_band(bands.defectDensity);
+        const double epa = scale_band(bands.epa);
+        const double intensity = scale_band(bands.intensity);
+        const double design_time = scale_band(bands.designTime);
+        const double duty_cycle = scale_band(bands.dutyCycle);
+        batch.defectDensityScale[trial] = defect_density;
+        batch.epaScale[trial] = epa;
+        batch.fabIntensityScale[trial] = intensity;
+        batch.packageIntensityScale[trial] = intensity;
+        batch.designIntensityScale[trial] = intensity;
+        batch.sprHoursScale[trial] = design_time;
+        batch.dutyCycleScale[trial] = duty_cycle;
+        batch.rebuildDefectDensity[trial] = 1;
+        batch.rebuildEpa[trial] = 1;
+    }
+
+    const BatchEvaluator evaluator(config, tech, system);
+    std::vector<double> embodied(trials), operational(trials),
+        total(trials);
+    evaluator.evaluateRange(batch, 0, batch.size(), embodied.data(),
+                            operational.data(), total.data());
+    return UncertaintyReport{SampleStats(std::move(embodied)),
+                             SampleStats(std::move(operational)),
+                             SampleStats(std::move(total))};
+}
+
+TEST(KernelMonteCarloGolden, BlocksMatchDrawingEveryTrialFirst)
+{
+    const auto tech = TechDb::defaults();
+    EcoChipConfig config;
+    config.package.arch = PackagingArch::SiliconBridge;
+    config.operating = testcases::ga102Operating();
+    const SystemSpec system =
+        testcases::ga102ThreeChiplet(*tech, 7.0, 10.0, 14.0);
+    const UncertaintyBands bands;
+    const MonteCarloAnalyzer analyzer(config, tech, bands);
+
+    constexpr int kBlock =
+        static_cast<int>(MonteCarloAnalyzer::kBlock);
+    for (int trials :
+         {kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 7}) {
+        SCOPED_TRACE("trials " + std::to_string(trials));
+        const UncertaintyReport expected = drawAllFirstMonteCarlo(
+            config, *tech, bands, system, trials, 2024);
+        for (int threads : {1, 2, 3, 8}) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            const UncertaintyReport actual = analyzer.run(
+                system, trials, 2024, Parallelism{threads});
+            expectStatsBitIdentical(expected.embodied,
+                                    actual.embodied);
+            expectStatsBitIdentical(expected.operational,
+                                    actual.operational);
+            expectStatsBitIdentical(expected.total, actual.total);
+        }
     }
 }
 

@@ -1,113 +1,135 @@
 /**
  * @file
- * Carbon-aware SoC partitioning: the disaggregation optimizer
- * sweeps chiplet counts, node assignments, and packaging
- * architectures for a GA102-class GPU, with the mask-NRE carbon
- * extension enabled, and reports the carbon-optimal configuration
- * -- the paper's Sec. VI workflow, fully automated. The winner is
- * then re-examined through an `AnalysisSession` (Monte-Carlo
- * bands + dollar cost on one shared context).
+ * Carbon-aware SoC partitioning: an exhaustive design-space search
+ * over a GA102-class GPU's digital split, memory and analog nodes,
+ * and packaging architecture (the `ga102-disaggregation-space`
+ * generator) reports the carbon-optimal configurations -- the
+ * paper's Sec. VI workflow, fully automated. The two winners and
+ * the monolithic baseline are then re-estimated with the mask-NRE
+ * carbon extension, and the embodied winner is re-examined
+ * through an `AnalysisSession` (Monte-Carlo bands + dollar cost on
+ * one shared context).
+ *
+ * Run from the repository root: the spec is read from
+ * data/searches/exhaustive_disaggregation.json.
  */
 
 #include <algorithm>
 #include <iomanip>
 #include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
-#include "core/optimizer.h"
-#include "core/testcases.h"
+#include "io/search_io.h"
+#include "search/search_driver.h"
 #include "session/analysis_session.h"
+#include "support/error.h"
 
 int
 main()
 {
     using namespace ecochip;
 
-    EcoChipConfig config;
-    config.operating = testcases::ga102Operating();
-    config.includeMaskNre = true; // Sec. V-C NRE extension
+    SearchSpec spec;
+    try {
+        spec = loadSearchSpecFile(
+            "data/searches/exhaustive_disaggregation.json");
+    } catch (const ConfigError &e) {
+        std::cerr << e.what()
+                  << "\n(run from the repository root)\n";
+        return 1;
+    }
 
-    DisaggregationOptimizer optimizer(config);
+    EngineOptions options;
+    options.threads = 4;
+    const SearchResult result = SearchDriver(options).run(spec);
+    std::cout << "Evaluated " << result.evaluated.size()
+              << " disaggregation configurations of \""
+              << spec.generator << "\"\n\n";
 
-    DisaggregationSpace space;
-    space.digitalNodesNm = {7.0};
-    space.memoryNodesNm = {7.0, 10.0, 14.0};
-    space.analogNodesNm = {7.0, 10.0, 14.0};
-    space.digitalSplits = {1, 2, 3, 4, 6};
-    space.architectures = {PackagingArch::RdlFanout,
-                           PackagingArch::SiliconBridge,
-                           PackagingArch::PassiveInterposer};
-    space.monolithNodeNm = 7.0;
-
-    const auto points =
-        optimizer.enumerate(testcases::ga102Blocks(), space);
-    std::cout << "Evaluated " << points.size()
-              << " disaggregation configurations\n\n";
-
-    // Rank by embodied carbon and show the podium.
-    std::vector<const DisaggregationPoint *> ranked;
-    for (const auto &p : points)
-        ranked.push_back(&p);
+    // Point metrics follow the spec's objectives: embodied_kg,
+    // then total_kg.
+    const auto label = [&](const EvaluatedPoint &point) {
+        return point.name.substr(spec.generator.size() + 1);
+    };
+    std::vector<const EvaluatedPoint *> ranked;
+    for (const auto &point : result.evaluated)
+        ranked.push_back(&point);
     std::sort(ranked.begin(), ranked.end(),
               [](const auto *a, const auto *b) {
-                  return a->report.embodiedCo2Kg() <
-                         b->report.embodiedCo2Kg();
+                  return a->metrics[0] < b->metrics[0];
               });
+    const EvaluatedPoint &best = *ranked.front();
+    const EvaluatedPoint &best_total = *std::min_element(
+        result.evaluated.begin(), result.evaluated.end(),
+        [](const auto &a, const auto &b) {
+            return a.metrics[1] < b.metrics[1];
+        });
 
     std::cout << std::fixed << std::setprecision(2);
-    std::cout << "Top configurations by embodied carbon:\n";
+    std::cout << "Top configurations by embodied carbon "
+                 "(mask NRE off):\n";
     for (std::size_t i = 0; i < 8 && i < ranked.size(); ++i) {
         const auto &p = *ranked[i];
-        std::cout << "  " << i + 1 << ". " << std::setw(32)
-                  << std::left << p.label() << std::right
-                  << "  Cemb " << std::setw(7)
-                  << p.report.embodiedCo2Kg() << " kg, Ctot "
-                  << std::setw(7) << p.report.totalCo2Kg()
+        std::cout << "  " << i + 1 << ". " << std::setw(68)
+                  << std::left << label(p) << std::right
+                  << "  Cemb " << std::setw(7) << p.metrics[0]
+                  << " kg, Ctot " << std::setw(7) << p.metrics[1]
                   << " kg\n";
     }
 
-    const auto &mono = points.front();
-    const auto &best =
-        DisaggregationOptimizer::bestByEmbodied(points);
-    const auto &best_total =
-        DisaggregationOptimizer::bestByTotal(points);
+    // Re-estimate the winners and the built-in monolithic
+    // baseline with the Sec. V-C mask-NRE extension.
+    auto registry = std::make_shared<ScenarioRegistry>(
+        ScenarioRegistry::builtin());
+    if (spec.catalog)
+        registry->loadFile(*spec.catalog);
+    const auto with_nre = [&](const std::string &name) {
+        return ScenarioBuilder()
+            .registry(registry)
+            .scenario(name)
+            .includeMaskNre()
+            .build();
+    };
+    const AnalysisSession winner = with_nre(best.name);
+    const CarbonReport mono =
+        *with_nre("ga102-mono").estimate().report;
+    const CarbonReport emb = *winner.estimate().report;
+    const CarbonReport tot =
+        *with_nre(best_total.name).estimate().report;
 
-    std::cout << "\nMonolithic baseline: "
-              << mono.report.embodiedCo2Kg() << " kg embodied, "
-              << mono.report.totalCo2Kg() << " kg total\n";
-    std::cout << "Best embodied: " << best.label() << " saves "
-              << 100.0 * (1.0 - best.report.embodiedCo2Kg() /
-                                    mono.report.embodiedCo2Kg())
+    std::cout << "\nWith mask NRE:\n";
+    std::cout << "Monolithic baseline: " << mono.embodiedCo2Kg()
+              << " kg embodied, " << mono.totalCo2Kg()
+              << " kg total\n";
+    std::cout << "Best embodied: " << label(best) << " saves "
+              << 100.0 * (1.0 - emb.embodiedCo2Kg() /
+                                    mono.embodiedCo2Kg())
               << "% embodied carbon\n";
-    std::cout << "Best total:    " << best_total.label()
-              << " saves "
-              << 100.0 * (1.0 - best_total.report.totalCo2Kg() /
-                                    mono.report.totalCo2Kg())
+    std::cout << "Best total:    " << label(best_total) << " saves "
+              << 100.0 * (1.0 - tot.totalCo2Kg() /
+                                    mono.totalCo2Kg())
               << "% total carbon\n";
 
-    std::cout << "\nWinner breakdown (" << best.label() << "):\n"
-              << "  Cmfg " << best.report.mfgCo2Kg << " kg, CHI "
-              << best.report.hi.totalCo2Kg() << " kg, Cdes "
-              << best.report.designCo2Kg << " kg, mask NRE "
-              << best.report.nreCo2Kg << " kg, Cop "
-              << best.report.operation.co2Kg << " kg\n";
+    std::cout << "\nWinner breakdown (" << label(best) << "):\n"
+              << "  Cmfg " << emb.mfgCo2Kg << " kg, CHI "
+              << emb.hi.totalCo2Kg() << " kg, Cdes "
+              << emb.designCo2Kg << " kg, mask NRE "
+              << emb.nreCo2Kg << " kg, Cop "
+              << emb.operation.co2Kg << " kg\n";
 
-    // How confident is the winner's number? Bind it into a
-    // session and run uncertainty + cost on one shared context.
-    EcoChipConfig winner_config = config;
-    winner_config.package.arch = best.arch;
-    const AnalysisSession session = ScenarioBuilder()
-                                        .system(best.system)
-                                        .config(winner_config)
-                                        .build();
+    // How confident is the winner's number? Uncertainty and cost
+    // run on the winner's one shared context.
     const AnalysisResult bands =
-        session.monteCarlo(500, 42, Parallelism{4});
-    const SampleStats &emb = bands.uncertainty->embodied;
+        winner.monteCarlo(500, 42, Parallelism{4});
+    const SampleStats &band = bands.uncertainty->embodied;
     std::cout << "\nMonte-Carlo (500 trials, 4 threads): Cemb "
-              << emb.percentile(5.0) << " - "
-              << emb.percentile(95.0) << " kg (p5-p95), mean "
-              << emb.mean() << " kg\n";
+              << band.percentile(5.0) << " - "
+              << band.percentile(95.0) << " kg (p5-p95), mean "
+              << band.mean() << " kg\n";
 
-    const CostBreakdown cost = *session.cost().cost;
+    const CostBreakdown cost = *winner.cost().cost;
     std::cout << "Unit cost of the winner: $" << cost.totalUsd()
               << " (die $" << cost.dieUsd << ", NRE $"
               << cost.nreUsd << ")\n";

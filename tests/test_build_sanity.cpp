@@ -18,7 +18,7 @@
 #include "design/design_model.h"
 #include "floorplan/floorplan.h"
 #include "io/config_loader.h"
-#include "io/report_writer.h"
+#include "io/result_writer.h"
 #include "json/json.h"
 #include "manufacture/mfg_model.h"
 #include "noc/network_model.h"
@@ -128,9 +128,9 @@ TEST(BuildSanity, EverySubsystemLinks)
     EXPECT_GT(operation.evaluate(system).co2Kg, 0.0);
 
     // io (report path)
-    const std::string markdown =
-        markdownReport(system, report, config);
-    EXPECT_FALSE(markdown.empty());
+    AnalysisResult estimate;
+    estimate.report = report;
+    EXPECT_FALSE(resultMarkdown(estimate).empty());
 
     // analysis
     const auto params = SensitivityAnalyzer::standardParameters();

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the extension features: mask-set NRE carbon (paper
- * Sec. V-C future work) and the carbon-aware disaggregation
- * optimizer (Sec. VI automated).
+ * Tests for the mask-set NRE carbon extension (paper Sec. V-C
+ * future work).
  */
 
 #include <gtest/gtest.h>
 
-#include "core/optimizer.h"
+#include "core/ecochip.h"
 #include "core/testcases.h"
 #include "manufacture/nre_model.h"
 #include "support/error.h"
@@ -132,95 +131,6 @@ TEST(NreIntegration, VolumeManufacturedChipletsAmortizeBetter)
         testcases::ga102Split(reuse_est.tech(), 6));
 
     EXPECT_LT(split.nreCo2Kg, mono.nreCo2Kg);
-}
-
-TEST(Optimizer, EnumerationCountMatchesSpace)
-{
-    DisaggregationOptimizer optimizer;
-    DisaggregationSpace space;
-    space.digitalNodesNm = {7.0};
-    space.memoryNodesNm = {10.0, 14.0};
-    space.analogNodesNm = {10.0, 14.0};
-    space.digitalSplits = {1, 2};
-    space.architectures = {PackagingArch::RdlFanout};
-    space.includeMonolith = true;
-
-    const auto points = optimizer.enumerate(
-        testcases::ga102Blocks(), space);
-    // 1 monolith + 1 arch x 2 splits x 1 x 2 x 2 nodes = 9.
-    EXPECT_EQ(points.size(), 9u);
-    EXPECT_EQ(points.front().digitalSplit, 0);
-}
-
-TEST(Optimizer, BestBeatsAllOthers)
-{
-    EcoChipConfig config;
-    config.operating = testcases::ga102Operating();
-    DisaggregationOptimizer optimizer(config);
-    const auto points = optimizer.enumerate(
-        testcases::ga102Blocks(), DisaggregationSpace{});
-    const auto &best =
-        DisaggregationOptimizer::bestByEmbodied(points);
-    for (const auto &p : points)
-        EXPECT_LE(best.report.embodiedCo2Kg(),
-                  p.report.embodiedCo2Kg());
-    const auto &best_total =
-        DisaggregationOptimizer::bestByTotal(points);
-    for (const auto &p : points)
-        EXPECT_LE(best_total.report.totalCo2Kg(),
-                  p.report.totalCo2Kg());
-}
-
-TEST(Optimizer, FindsChipletConfigBelowMonolith)
-{
-    // For the GA102-class SoC the optimizer must discover an HI
-    // configuration greener than the monolith -- the paper's
-    // thesis as an executable assertion.
-    EcoChipConfig config;
-    config.operating = testcases::ga102Operating();
-    DisaggregationOptimizer optimizer(config);
-    const auto points = optimizer.enumerate(
-        testcases::ga102Blocks(), DisaggregationSpace{});
-
-    const auto &mono = points.front();
-    ASSERT_EQ(mono.digitalSplit, 0);
-    const auto &best =
-        DisaggregationOptimizer::bestByEmbodied(points);
-    EXPECT_GT(best.digitalSplit, 0);
-    EXPECT_LT(best.report.embodiedCo2Kg(),
-              mono.report.embodiedCo2Kg());
-}
-
-TEST(Optimizer, LabelsAreDescriptive)
-{
-    DisaggregationOptimizer optimizer;
-    DisaggregationSpace space;
-    space.digitalSplits = {2};
-    space.memoryNodesNm = {10.0};
-    space.analogNodesNm = {14.0};
-    space.architectures = {PackagingArch::SiliconBridge};
-    const auto points = optimizer.enumerate(
-        testcases::ga102Blocks(), space);
-    EXPECT_EQ(points.front().label(), "monolith@7nm");
-    EXPECT_EQ(points.back().label(),
-              "2xD@7/M@10/A@14 silicon_bridge");
-}
-
-TEST(Optimizer, Validation)
-{
-    DisaggregationOptimizer optimizer;
-    DisaggregationSpace bad;
-    bad.digitalSplits = {};
-    EXPECT_THROW(
-        optimizer.enumerate(testcases::ga102Blocks(), bad),
-        ConfigError);
-    bad = DisaggregationSpace{};
-    bad.architectures = {};
-    EXPECT_THROW(
-        optimizer.enumerate(testcases::ga102Blocks(), bad),
-        ConfigError);
-    EXPECT_THROW(DisaggregationOptimizer::bestByEmbodied({}),
-                 ConfigError);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the report writer, node-list loading, the energy-mix
- * helper, and the shipped data/testcases design directories.
+ * Tests for node-list loading, the energy-mix helper, and the
+ * shipped data/testcases design directories.
  */
 
 #include <filesystem>
@@ -11,7 +11,6 @@
 
 #include "core/testcases.h"
 #include "io/config_loader.h"
-#include "io/report_writer.h"
 #include "support/error.h"
 #include "tech/carbon_intensity.h"
 
@@ -21,57 +20,6 @@
 
 namespace ecochip {
 namespace {
-
-TEST(ReportWriter, ContainsAllSections)
-{
-    EcoChipConfig config;
-    config.operating = testcases::ga102Operating();
-    EcoChip estimator(config);
-    const SystemSpec system = testcases::ga102ThreeChiplet(
-        estimator.tech(), 7.0, 14.0, 10.0);
-    const CarbonReport report = estimator.estimate(system);
-
-    const std::string md =
-        markdownReport(system, report, config);
-    EXPECT_NE(md.find("# ECO-CHIP carbon report: GA102-3c"),
-              std::string::npos);
-    EXPECT_NE(md.find("## Per-chiplet manufacturing"),
-              std::string::npos);
-    EXPECT_NE(md.find("## Carbon breakdown"), std::string::npos);
-    EXPECT_NE(md.find("## Heterogeneous-integration detail"),
-              std::string::npos);
-    EXPECT_NE(md.find("## Operation"), std::string::npos);
-    EXPECT_NE(md.find("digital"), std::string::npos);
-    EXPECT_NE(md.find("rdl_fanout"), std::string::npos);
-    EXPECT_NE(md.find("**total (Ctot)**"), std::string::npos);
-}
-
-TEST(ReportWriter, MonolithOmitsHiSection)
-{
-    EcoChipConfig config;
-    config.operating = testcases::ga102Operating();
-    EcoChip estimator(config);
-    const SystemSpec mono =
-        testcases::ga102Monolithic(estimator.tech());
-    const std::string md = markdownReport(
-        mono, estimator.estimate(mono), config);
-    EXPECT_EQ(md.find("## Heterogeneous-integration detail"),
-              std::string::npos);
-    EXPECT_NE(md.find("monolithic die"), std::string::npos);
-}
-
-TEST(ReportWriter, NreRowOnlyWhenEnabled)
-{
-    EcoChipConfig config;
-    config.operating = testcases::ga102Operating();
-    config.includeMaskNre = true;
-    EcoChip estimator(config);
-    const SystemSpec system = testcases::ga102ThreeChiplet(
-        estimator.tech(), 7.0, 14.0, 10.0);
-    const std::string md = markdownReport(
-        system, estimator.estimate(system), config);
-    EXPECT_NE(md.find("mask NRE"), std::string::npos);
-}
 
 class NodeListTest : public ::testing::Test
 {

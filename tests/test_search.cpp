@@ -5,17 +5,23 @@
  * names, the axis transforms, registry resolution of derived
  * names, Pareto frontier properties, the exhaustive ==
  * hand-expanded-batch identity, climber seed determinism across
- * engine thread counts, and the search_io wire format.
+ * engine thread counts, the search_io wire format, and the shipped
+ * GA102 disaggregation space against its `makeDigitalSplit`
+ * oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "core/disaggregate.h"
+#include "core/testcases.h"
 #include "engine/analysis_engine.h"
 #include "io/batch_report_io.h"
 #include "io/search_io.h"
@@ -24,8 +30,13 @@
 #include "search/pareto.h"
 #include "search/scenario_space.h"
 #include "search/search_driver.h"
+#include "session/analysis_session.h"
 #include "session/scenario_registry.h"
 #include "support/error.h"
+
+#ifndef ECOCHIP_DATA_DIR
+#define ECOCHIP_DATA_DIR ""
+#endif
 
 namespace ecochip {
 namespace {
@@ -776,6 +787,104 @@ TEST(SearchIoTest, ResultDocumentBytesWithoutBestPoint)
         }
     ]
 })");
+}
+
+// ------------------------------------- shipped GA102 split space
+
+constexpr const char *kGa102Space = "ga102-disaggregation-space";
+
+TEST(DisaggregationSpace, PointsMatchDigitalSplitBitForBit)
+{
+    ScenarioRegistry registry;
+    registry.loadFile(std::string(ECOCHIP_DATA_DIR) +
+                      "/scenarios/search_spaces.json");
+    const ScenarioSpace space(registry.generator(kGa102Space));
+    ASSERT_EQ(space.size(), 135u);
+
+    // Oracle: the GA102 die-shot blocks split by
+    // makeDigitalSplit, estimated under the GA102 operating point.
+    const TechDb tech;
+    const auto bits = [](double v) {
+        return std::bit_cast<std::uint64_t>(v);
+    };
+    std::size_t checked = 0;
+    for (const int memory : {7, 10, 14})
+        for (const int analog : {7, 10, 14})
+            for (const int split : {1, 2, 3, 4, 6})
+                for (const PackagingArch arch :
+                     {PackagingArch::RdlFanout,
+                      PackagingArch::SiliconBridge,
+                      PackagingArch::PassiveInterposer}) {
+                    EcoChipConfig config;
+                    config.operating = testcases::ga102Operating();
+                    config.package.arch = arch;
+                    const CarbonReport expected =
+                        EcoChip(config).estimate(makeDigitalSplit(
+                            "oracle", testcases::ga102Blocks(), tech,
+                            split, 7.0, memory, analog));
+
+                    const std::string name =
+                        std::string(kGa102Space) +
+                        "/memory_node=" + std::to_string(memory) +
+                        "/analog_node=" + std::to_string(analog) +
+                        "/digital_split=" + std::to_string(split) +
+                        "/packaging=" + toString(arch);
+                    const DesignBundle point =
+                        registry.instantiate(name, tech);
+                    const CarbonReport actual =
+                        EcoChip(point.config).estimate(point.system);
+
+                    EXPECT_EQ(bits(expected.embodiedCo2Kg()),
+                              bits(actual.embodiedCo2Kg()))
+                        << name;
+                    EXPECT_EQ(bits(expected.totalCo2Kg()),
+                              bits(actual.totalCo2Kg()))
+                        << name;
+                    ++checked;
+                }
+    EXPECT_EQ(checked, space.size());
+}
+
+TEST(DisaggregationSpace, SearchFindsSplitWinnersBelowMonolith)
+{
+    const SearchSpec spec = loadSearchSpecFile(
+        std::string(ECOCHIP_DATA_DIR) +
+        "/searches/exhaustive_disaggregation.json");
+    EngineOptions options;
+    options.threads = 2;
+    const SearchResult result = SearchDriver(options).run(spec);
+    ASSERT_EQ(result.evaluated.size(), 135u);
+
+    // metrics[] follows the spec's objectives: embodied, total.
+    const auto best_by = [&](std::size_t metric) {
+        return *std::min_element(
+            result.evaluated.begin(), result.evaluated.end(),
+            [&](const EvaluatedPoint &a, const EvaluatedPoint &b) {
+                return a.metrics[metric] < b.metrics[metric];
+            });
+    };
+    const EvaluatedPoint embodied = best_by(0);
+    const EvaluatedPoint total = best_by(1);
+    EXPECT_EQ(embodied.name,
+              std::string(kGa102Space) +
+                  "/memory_node=14/analog_node=10/digital_split=6/"
+                  "packaging=rdl_fanout");
+    EXPECT_NEAR(embodied.metrics[0], 24.0777, 1e-4);
+    EXPECT_EQ(total.name,
+              std::string(kGa102Space) +
+                  "/memory_node=7/analog_node=7/digital_split=6/"
+                  "packaging=passive_interposer");
+    EXPECT_NEAR(total.metrics[1], 185.203, 1e-3);
+
+    // The paper's thesis: a chiplet split is greener than the
+    // monolithic 7 nm die on both counts.
+    const CarbonReport mono = *ScenarioBuilder()
+                                   .scenario("ga102-mono")
+                                   .build()
+                                   .estimate()
+                                   .report;
+    EXPECT_LT(embodied.metrics[0], mono.embodiedCo2Kg());
+    EXPECT_LT(total.metrics[1], mono.totalCo2Kg());
 }
 
 } // namespace

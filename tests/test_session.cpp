@@ -420,6 +420,34 @@ TEST(ResultWriter, MarkdownRendersEveryKind)
     EXPECT_NE(cost.find("Dollar cost"), std::string::npos);
 }
 
+TEST(ResultWriter, MarkdownEstimateHasChipletAndBreakdownSections)
+{
+    const AnalysisSession session =
+        ScenarioBuilder().scenario("ga102").build();
+    const std::string md = resultMarkdown(session.estimate());
+    EXPECT_NE(md.find("## Per-chiplet manufacturing"),
+              std::string::npos);
+    EXPECT_NE(md.find("| digital | 7 |"), std::string::npos) << md;
+    EXPECT_NE(md.find("## Carbon breakdown"), std::string::npos);
+    EXPECT_NE(md.find("**embodied (Cemb)**"), std::string::npos);
+}
+
+TEST(ResultWriter, MarkdownMaskNreRowOnlyWhenEnabled)
+{
+    const std::string without = resultMarkdown(
+        ScenarioBuilder().scenario("ga102").build().estimate());
+    EXPECT_EQ(without.find("mask NRE"), std::string::npos);
+
+    const std::string with = resultMarkdown(ScenarioBuilder()
+                                                .scenario("ga102")
+                                                .includeMaskNre()
+                                                .build()
+                                                .estimate());
+    EXPECT_NE(with.find("| mask NRE, amortized |"),
+              std::string::npos)
+        << with;
+}
+
 TEST(ResultWriter, StackGroupRoundTripsThroughArchitectureJson)
 {
     // The architecture document of ga102Hbm(tech, 2, 2): two

@@ -129,7 +129,9 @@
 #include <cstddef>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -666,11 +668,12 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
     engine_options.threads = opts.engineThreads.value_or(
         Parallelism::hardware().threads);
     engine_options.registry = std::move(registry);
-    AnalysisEngine engine(std::move(engine_options));
+    auto engine =
+        std::make_unique<AnalysisEngine>(std::move(engine_options));
 
     if (!opts.stream)
         std::cout << "batch: " << batch.requests.size()
-                  << " requests on " << engine.threads()
+                  << " requests on " << engine->threads()
                   << " engine thread(s)\n";
 
     // Each outcome is encoded on the engine worker that produced
@@ -684,8 +687,18 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
             std::cout << line << std::endl;
         };
     const EncodedBatch run = runEncodedBatch(
-        engine, batch.requests, opts.jsonPath.has_value(), on_event);
+        *engine, batch.requests, opts.jsonPath.has_value(), on_event);
     const BatchReport &report = run.report;
+    const std::size_t contexts = engine->contextCount();
+
+    // The outcomes own everything the reports print, so the
+    // engine retires -- its pool joins, its contexts are freed --
+    // on another thread while this one writes them. The future
+    // is joined before returning, and while unwinding (an async
+    // future's destructor waits), so nothing outlives the run.
+    std::future<void> retired = std::async(
+        std::launch::async,
+        [engine = std::move(engine)]() mutable { engine.reset(); });
 
     if (!opts.stream) {
         for (std::size_t i = 0; i < report.outcomes.size();
@@ -705,7 +718,7 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
     }
     (opts.stream ? std::cerr : std::cout)
         << report.succeeded() << "/" << report.outcomes.size()
-        << " requests ok, " << engine.contextCount()
+        << " requests ok, " << contexts
         << " distinct evaluation context(s)\n";
 
     if (opts.jsonPath) {
@@ -738,6 +751,7 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
                   << *opts.markdownPath << "\n";
     }
 
+    retired.get();
     return report.allOk() ? 0 : 1;
 }
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <latch>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -149,37 +151,63 @@ MonteCarloAnalyzer::run(const SystemSpec &system, int trials,
         workers(parallelism.threads, trials, hardware);
     if (worker_count <= 1) {
         work();
-    } else {
-        // A trial that throws must surface as the same catchable
-        // exception the serial path produces, not std::terminate;
-        // the other workers stop at their next block.
-        std::exception_ptr failure;
-        std::mutex failure_mutex;
-        auto guarded = [&] {
-            try {
-                work();
-            } catch (...) {
-                next_block = blocks;
-                std::lock_guard lock(failure_mutex);
-                if (!failure)
-                    failure = std::current_exception();
-            }
-        };
-        {
-            // The caller is one of the workers.
-            ThreadPool pool(worker_count - 1);
-            for (int w = 1; w < worker_count; ++w)
-                pool.post(guarded);
-            guarded();
-            // ~ThreadPool drains the queue and joins the workers.
-        }
-        if (failure)
-            std::rethrow_exception(failure);
+        return UncertaintyReport{SampleStats(std::move(embodied)),
+                                 SampleStats(std::move(operational)),
+                                 SampleStats(std::move(total))};
     }
 
-    return UncertaintyReport{SampleStats(std::move(embodied)),
-                             SampleStats(std::move(operational)),
-                             SampleStats(std::move(total))};
+    // A trial or sort that throws must surface as the same
+    // catchable exception the serial path produces, not
+    // std::terminate; the other workers stop at their next block.
+    std::exception_ptr failure;
+    std::mutex failure_mutex;
+    const auto record = [&] {
+        std::lock_guard lock(failure_mutex);
+        if (!failure)
+            failure = std::current_exception();
+    };
+    std::latch drawn(worker_count);
+    auto draw = [&] {
+        try {
+            work();
+        } catch (...) {
+            next_block = blocks;
+            record();
+        }
+        drawn.count_down();
+    };
+    std::optional<SampleStats> embodied_stats, operational_stats,
+        total_stats;
+    const auto summarize = [&](std::optional<SampleStats> &stats,
+                               std::vector<double> &samples) {
+        try {
+            stats.emplace(std::move(samples));
+        } catch (...) {
+            record();
+        }
+    };
+    {
+        // The caller is one of the workers. Once every block is
+        // drawn, two of the three sorts go to the pool and the
+        // third runs here; ~ThreadPool drains the queue and joins
+        // the workers.
+        ThreadPool pool(worker_count - 1);
+        for (int w = 1; w < worker_count; ++w)
+            pool.post(draw);
+        draw();
+        drawn.wait();
+        if (!failure) {
+            pool.post([&] { summarize(embodied_stats, embodied); });
+            pool.post(
+                [&] { summarize(operational_stats, operational); });
+            summarize(total_stats, total);
+        }
+    }
+    if (failure)
+        std::rethrow_exception(failure);
+    return UncertaintyReport{std::move(*embodied_stats),
+                             std::move(*operational_stats),
+                             std::move(*total_stats)};
 }
 
 } // namespace ecochip

@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
 #include "json/ondemand.h"
 #include "json/stream_writer.h"
@@ -429,14 +434,49 @@ void
 writeFile(const std::vector<std::string_view> &pieces,
           const std::string &path)
 {
-    std::ofstream out(path, std::ios::binary);
+    static constexpr char newline = '\n';
+    std::vector<iovec> iov;
+    iov.reserve(pieces.size() + 1);
     for (const std::string_view piece : pieces)
-        out.write(piece.data(),
-                  static_cast<std::streamsize>(piece.size()));
-    out << '\n';
-    out.flush();
-    requireConfig(static_cast<bool>(out),
-                  "cannot write JSON file: " + path);
+        if (!piece.empty())
+            iov.push_back({const_cast<char *>(piece.data()),
+                           piece.size()});
+    iov.push_back({const_cast<char *>(&newline), 1});
+
+    // 0666 before the umask: the mode `std::ofstream` creates.
+    // Nothing between open and close throws.
+    const int fd = ::open(path.c_str(),
+                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                          0666);
+    requireConfig(fd >= 0, "cannot write JSON file: " + path);
+
+    // At most IOV_MAX iovecs per call. A short write resumes
+    // inside the iovec it stopped in; every iovec is non-empty,
+    // so a call that writes nothing is a failure, not progress.
+    bool ok = true;
+    std::size_t first = 0;
+    while (first < iov.size()) {
+        const std::size_t count =
+            std::min<std::size_t>(iov.size() - first, IOV_MAX);
+        const ssize_t written = ::writev(
+            fd, iov.data() + first, static_cast<int>(count));
+        if (written < 0 && errno == EINTR)
+            continue;
+        if (written <= 0) {
+            ok = false;
+            break;
+        }
+        auto left = static_cast<std::size_t>(written);
+        while (left > 0 && left >= iov[first].iov_len)
+            left -= iov[first++].iov_len;
+        if (left > 0) {
+            iov[first].iov_base =
+                static_cast<char *>(iov[first].iov_base) + left;
+            iov[first].iov_len -= left;
+        }
+    }
+    ok = ::close(fd) == 0 && ok;
+    requireConfig(ok, "cannot write JSON file: " + path);
 }
 
 } // namespace ecochip::json

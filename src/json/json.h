@@ -253,10 +253,17 @@ Value parseFile(const std::string &path);
  * Write one finished JSON document to a file, followed by a
  * newline -- the one file writer every JSON file goes through.
  *
+ * The bytes go out with `writev`, straight from the caller's
+ * buffers, at most `IOV_MAX` pieces per call; a short or
+ * interrupted (`EINTR`) call resumes where it stopped. A new
+ * file gets the mode `std::ofstream` would give it (0666 less
+ * the umask).
+ *
  * @param text Serialized document (a `StreamWriter`'s output).
  * @param path Destination path (overwritten).
  * @throws ConfigError("cannot write JSON file: PATH") when the
- *         file cannot be opened or any byte fails to reach it.
+ *         file cannot be opened, any byte fails to reach it, or
+ *         closing it fails.
  */
 void writeFile(std::string_view text, const std::string &path);
 

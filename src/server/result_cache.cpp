@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "io/request_io.h"
+#include "json/json.h"
 #include "json/ondemand.h"
 #include "json/stream_writer.h"
 #include "support/error.h"
@@ -173,16 +174,17 @@ ResultCache::storeText(const std::string &key,
     fs::create_directories(path.parent_path(), ec);
 
     // Write-then-rename: a crash mid-write leaves a stray .tmp,
-    // never a truncated object under its final name.
+    // never a truncated object under its final name. The cache
+    // is an optimization, so a store that fails (disk full, an
+    // unwritable tree) is dropped, not thrown at the server.
     const fs::path tmp = path.string() + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        requireModel(static_cast<bool>(out),
-                     "cannot write cache object " +
-                         tmp.string());
-        out << result_text << "\n";
+    try {
+        json::writeFile(result_text, tmp.string());
+        fs::rename(tmp, path);
+    } catch (const std::exception &) {
+        fs::remove(tmp, ec);
+        return;
     }
-    fs::rename(tmp, path);
 
     lastUse_[key] = tick_++;
     stats_.entries = lastUse_.size();

@@ -108,7 +108,8 @@ class ResultCache
      * atomically, then evict least-recently-used entries down to
      * `maxEntries`. @p result_text must be one compact JSON
      * result document (the streaming serializers produce exactly
-     * that).
+     * that). A store whose write fails is dropped: no object, no
+     * index entry, no exception.
      */
     void storeText(const std::string &key,
                    std::string_view result_text);

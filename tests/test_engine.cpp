@@ -987,6 +987,13 @@ TEST(EncodedBatch, FailuresOneRequestAndEmptyBatchesSplice)
     expectEncodedLikeSerial({requests.front()}, registry, "one");
     expectEncodedLikeSerial({}, registry, "empty");
 
+    // 1104 outcomes: 2209 report pieces, so the file's writev
+    // calls split at IOV_MAX (1024) pieces.
+    std::vector<AnalysisRequest> many;
+    for (int copy = 0; copy < 184; ++copy)
+        many.insert(many.end(), requests.begin(), requests.end());
+    expectEncodedLikeSerial(many, registry, "1104 outcomes");
+
     // The failures are failures, and the odd text survives.
     AnalysisEngine engine(EngineOptions{1, registry, TechDb()});
     const BatchReport report = engine.runBatch(requests);

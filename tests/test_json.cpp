@@ -7,6 +7,7 @@
  * (`support/reference_json.h`) as the oracle.
  */
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -295,7 +296,41 @@ TEST(JsonFile, WritesPiecesInOrderAsOneDocument)
     const std::string text((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
     EXPECT_EQ(text, "[1,{\"a\":2}]\n");
+
+    // More pieces than three writev calls take (IOV_MAX each),
+    // every fifth one empty.
+    std::vector<std::string> texts;
+    std::string expected;
+    for (std::size_t i = 0; i < 3 * IOV_MAX + IOV_MAX / 2; ++i) {
+        texts.push_back(i % 5 == 0
+                            ? std::string()
+                            : std::string(i % 13, char('a' + i % 26)));
+        expected += texts.back();
+    }
+    writeFile(std::vector<std::string_view>(texts.begin(), texts.end()),
+              path);
+    std::ifstream many(path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(many),
+                          std::istreambuf_iterator<char>()),
+              expected + "\n");
     std::remove(path.c_str());
+}
+
+TEST(JsonFile, NewFileGetsTheModeOfstreamGives)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        "ecochip_json_mode";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir / "ofstream.json") << "{}\n";
+    writeFile("{}", (dir / "written.json").string());
+    const auto perms = [](const std::filesystem::path &path) {
+        return std::filesystem::status(path).permissions();
+    };
+    EXPECT_EQ(perms(dir / "written.json"),
+              perms(dir / "ofstream.json"));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(JsonFile, MissingFileThrows)

@@ -40,6 +40,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define ECOCHIP_TEST_HAS_FORK 1
 #include <csignal>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #else
@@ -248,6 +249,55 @@ TEST_F(ResultCacheTest, IndexFileBytes)
 }
 
 #if ECOCHIP_TEST_HAS_FORK
+
+TEST_F(ResultCacheTest, FailedStoreLeavesNoObjectAndDoesNotThrow)
+{
+    const std::string key(64, 'e');
+    const std::string result =
+        R"({"detail":"longer than the file size limit"})";
+    const auto object =
+        dir_ / "objects" / key.substr(0, 2) / (key + ".json");
+
+    // A file size limit makes every write past 16 bytes fail with
+    // EFBIG (SIGXFSZ ignored); it is set in a child, so it limits
+    // nothing else.
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        std::signal(SIGXFSZ, SIG_IGN);
+        const rlimit limit{16, 16};
+        if (setrlimit(RLIMIT_FSIZE, &limit) != 0)
+            _exit(2);
+        try {
+            ResultCache cache({dirStr(), 0});
+            cache.storeText(key, result);
+            if (std::filesystem::exists(object))
+                _exit(3);
+            if (std::filesystem::exists(object.string() + ".tmp"))
+                _exit(4);
+            if (cache.stats().entries != 0 ||
+                cache.lookupText(key).has_value())
+                _exit(5);
+        } catch (...) {
+            _exit(6);
+        }
+        _exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    // 3: a truncated object under its final name; 4: a stray
+    // .tmp; 5: an indexed entry; 6: the store threw.
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+
+    // Without the limit the same store lands.
+    ResultCache cache({dirStr(), 0});
+    EXPECT_FALSE(cache.lookupText(key).has_value());
+    cache.storeText(key, result);
+    const auto hit = cache.lookupText(key);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, result);
+}
 
 // ------------------------------------------------ live server
 

@@ -692,29 +692,34 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
     const std::size_t contexts = engine->contextCount();
 
     // The outcomes own everything the reports print, so the
-    // engine retires -- its pool joins, its contexts are freed --
-    // on another thread while this one writes them. The future
-    // is joined before returning, and while unwinding (an async
-    // future's destructor waits), so nothing outlives the run.
+    // engine retires -- its pool joins, its catalog is freed (the
+    // batch freed its contexts as it went) -- on another thread
+    // while this one writes them. The future is joined before
+    // returning, and while unwinding (an async future's
+    // destructor waits), so nothing outlives the run.
     std::future<void> retired = std::async(
         std::launch::async,
         [engine = std::move(engine)]() mutable { engine.reset(); });
 
     if (!opts.stream) {
+        // Built whole and written at once: one write, not a
+        // dozen stream insertions per request.
+        std::string status;
         for (std::size_t i = 0; i < report.outcomes.size();
              ++i) {
             const RequestOutcome &outcome = report.outcomes[i];
-            std::cout << "  ["
-                      << (outcome.ok() ? "ok" : "FAILED")
-                      << "] #" << i << " "
-                      << toString(outcome.request.kind()) << " "
-                      << outcome.request.scenario.label();
-            if (outcome.ok())
-                std::cout << " -- " << outcome.result->detail;
-            else
-                std::cout << " -- " << outcome.error;
-            std::cout << "\n";
+            status += outcome.ok() ? "  [ok] #" : "  [FAILED] #";
+            status += std::to_string(i);
+            status += ' ';
+            status += toString(outcome.request.kind());
+            status += ' ';
+            status += outcome.request.scenario.label();
+            status += " -- ";
+            status += outcome.ok() ? outcome.result->detail
+                                   : outcome.error;
+            status += '\n';
         }
+        std::cout << status;
     }
     (opts.stream ? std::cerr : std::cout)
         << report.succeeded() << "/" << report.outcomes.size()

@@ -1,9 +1,11 @@
 #include "engine/analysis_engine.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "support/error.h"
@@ -77,8 +79,13 @@ withoutConfigPrefix(std::string what)
 AnalysisSession
 AnalysisEngine::sessionFor(const ScenarioRef &ref)
 {
-    const std::string key = ref.label();
+    return sessionFor(ref, ref.label());
+}
 
+AnalysisSession
+AnalysisEngine::sessionFor(const ScenarioRef &ref,
+                           const std::string &key)
+{
     std::promise<SessionBuild> promise;
     std::shared_future<SessionBuild> future;
     bool building = false;
@@ -90,6 +97,7 @@ AnalysisEngine::sessionFor(const ScenarioRef &ref)
         } else {
             future = promise.get_future().share();
             sessions_.emplace(key, future);
+            ++built_;
             building = true;
         }
     }
@@ -120,6 +128,7 @@ AnalysisEngine::sessionFor(const ScenarioRef &ref)
             // future still see this failure.
             std::lock_guard<std::mutex> lock(sessionsMutex_);
             sessions_.erase(key);
+            --built_;
         }
         promise.set_value(std::move(built));
     }
@@ -132,6 +141,22 @@ AnalysisEngine::sessionFor(const ScenarioRef &ref)
     if (built.isConfigError)
         throw ConfigError(built.error);
     throw Error(built.error);
+}
+
+void
+AnalysisEngine::release(const std::string &key)
+{
+    std::shared_future<SessionBuild> build;
+    {
+        std::lock_guard<std::mutex> lock(sessionsMutex_);
+        const auto it = sessions_.find(key);
+        if (it == sessions_.end())
+            return;
+        build = std::move(it->second);
+        sessions_.erase(it);
+    }
+    // The last reference to the context goes with `build`, here,
+    // outside the lock.
 }
 
 std::future<AnalysisResult>
@@ -168,18 +193,36 @@ AnalysisEngine::runStream(
         std::mutex mutex;
         std::condition_variable drained;
         std::size_t remaining;
+
+        /** Each distinct binding: its requests still running. */
+        std::unordered_map<std::string, std::atomic<std::size_t>>
+            bindings;
+
+        /** The `bindings` entry of each request. */
+        std::vector<std::pair<const std::string,
+                              std::atomic<std::size_t>> *>
+            bindingOf;
     };
     auto state = std::make_shared<StreamState>();
     state->remaining = requests.size();
+    state->bindingOf.reserve(requests.size());
+    for (const AnalysisRequest &request : requests) {
+        auto &binding =
+            *state->bindings.try_emplace(request.scenario.label())
+                 .first;
+        ++binding.second;
+        state->bindingOf.push_back(&binding);
+    }
 
     for (std::size_t i = 0; i < requests.size(); ++i) {
         pool_.post([this, state, &on_complete, &on_worker,
                     &requests, i] {
+            auto &[key, running] = *state->bindingOf[i];
             RequestOutcome outcome;
             outcome.request = requests[i];
             try {
                 const AnalysisSession session =
-                    sessionFor(outcome.request.scenario);
+                    sessionFor(outcome.request.scenario, key);
                 outcome.result =
                     runSpec(session, outcome.request.spec);
             } catch (const std::exception &e) {
@@ -187,6 +230,12 @@ AnalysisEngine::runStream(
             } catch (...) {
                 outcome.error = "unknown error";
             }
+            // The binding's last request frees its context on this
+            // worker, before the delivery that may end the batch,
+            // so the next binding reuses the memory and none
+            // outlives runStream.
+            if (--running == 0)
+                release(key);
             if (on_worker)
                 on_worker(i, outcome);
             // Deliver under the state lock: events are serialized
@@ -222,7 +271,7 @@ std::size_t
 AnalysisEngine::contextCount() const
 {
     std::lock_guard<std::mutex> lock(sessionsMutex_);
-    return sessions_.size();
+    return built_;
 }
 
 } // namespace ecochip

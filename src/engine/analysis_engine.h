@@ -9,7 +9,8 @@
  * request queue, and identical scenario bindings are deduplicated
  * onto one shared `EvaluationContext`, so a thousand requests
  * against nine scenarios build nine contexts and share their
- * memoized evaluation caches.
+ * memoized evaluation caches. A batch frees each of its contexts
+ * after that binding's last request; `submit` keeps them cached.
  *
  * Three execution shapes, all over the same scheduler:
  *
@@ -194,6 +195,14 @@ class AnalysisEngine
      * outcome carrying its error, exactly as `runBatch` records
      * it. Blocks until the whole batch has been delivered.
      *
+     * Each binding's context is built at its first request, as
+     * `sessionFor` builds it, and freed on the worker that
+     * finishes its last request in the batch, so a batch over
+     * thousands of single-use bindings holds only those in
+     * flight, and none once it returns. A binding used again
+     * after its release (by a later batch, or by a concurrent
+     * batch or `submit`) is built again.
+     *
      * @p on_worker, when set, runs first for each outcome, on its
      * worker and unserialized (see `WorkerCallback`).
      */
@@ -223,11 +232,17 @@ class AnalysisEngine
      * concurrently; workers racing for the same binding wait on
      * one build. A failed
      * build throws to every waiter and is forgotten, so a later
-     * request retries it.
+     * request retries it. The session stays cached until a batch
+     * over the same binding releases it (see `runStream`).
      */
     AnalysisSession sessionFor(const ScenarioRef &ref);
 
-    /** Distinct evaluation contexts built (or building). */
+    /**
+     * Evaluation contexts built (or building) over the engine's
+     * life, failed builds not counted: one per distinct binding
+     * of each batch and per binding `submit` or `sessionFor`
+     * built. A freed context that is built again counts again.
+     */
     std::size_t contextCount() const;
 
   private:
@@ -258,6 +273,13 @@ class AnalysisEngine
         bool isConfigError = false;
     };
 
+    /** `sessionFor(ref)` with the binding's key, `ref.label()`. */
+    AnalysisSession sessionFor(const ScenarioRef &ref,
+                               const std::string &key);
+
+    /** Drop the cached context of binding @p key, if any. */
+    void release(const std::string &key);
+
     mutable std::mutex sessionsMutex_;
 
     /**
@@ -267,6 +289,9 @@ class AnalysisEngine
     std::unordered_map<std::string,
                        std::shared_future<SessionBuild>>
         sessions_;
+
+    /** Builds entered in `sessions_` and not failed. */
+    std::size_t built_ = 0;
 
     /** Last member: destroyed (drained) before the caches. */
     ThreadPool pool_;

@@ -45,13 +45,20 @@ beginReport(json::StreamWriter &writer, const BatchReport &report)
 /** An outcome's depth in the report: root object, outcomes array. */
 constexpr std::size_t kOutcomeDepth = 2;
 
+/*
+ * The per-outcome encoders below write into a buffer each thread
+ * reuses, so a worker allocates once for a whole batch, and hand
+ * back an exact-size copy instead of a buffer grown by doubling.
+ */
+
 /** @p outcome as it stands in the pretty report file. */
 std::string
 reportOutcomeText(const RequestOutcome &outcome)
 {
-    json::StreamWriter writer(true, kOutcomeDepth);
+    thread_local json::StreamWriter writer(true, kOutcomeDepth);
+    writer.clear();
     appendOutcome(writer, outcome);
-    return writer.take();
+    return writer.str();
 }
 
 } // namespace
@@ -162,9 +169,10 @@ writeBatchReportFile(const EncodedBatch &batch,
 std::string
 streamEventLine(std::size_t index, const RequestOutcome &outcome)
 {
-    json::StreamWriter writer;
+    thread_local json::StreamWriter writer;
+    writer.clear();
     appendStreamEvent(writer, index, outcome);
-    return writer.take();
+    return writer.str();
 }
 
 } // namespace ecochip

@@ -136,14 +136,63 @@ appendNodes(json::StreamWriter &writer,
     writer.endArray();
 }
 
+/**
+ * Where a request sits, for its error messages: the source label,
+ * and the request's index when it is one of a batch. It is spelled
+ * only when a check fails, so a request that parses builds no
+ * message text.
+ */
+struct Where
+{
+    const std::string &context;
+    std::optional<std::size_t> index;
+
+    std::string str() const
+    {
+        return index ? context + " #" + std::to_string(*index)
+                     : context;
+    }
+};
+
+/** Throw the ConfigError `<where>: <what>`. */
+[[noreturn]] void
+fail(const Where &where, const std::string &what)
+{
+    throw ConfigError(where.str() + ": " + what);
+}
+
+/** `fail(where, what)` unless @p condition holds. */
+void
+require(bool condition, const Where &where, const char *what)
+{
+    if (!condition)
+        fail(where, what);
+}
+
+/** `rejectUnknownKeys`, spelling @p where only for a bad key. */
+void
+rejectUnknown(const json::Value &doc,
+              std::initializer_list<const char *> known,
+              const Where &where)
+{
+    if (!doc.isObject())
+        return;
+    for (const auto &[key, value] : doc.members()) {
+        bool recognized = false;
+        for (const char *candidate : known)
+            recognized |= key == candidate;
+        if (!recognized)
+            rejectUnknownKeys(doc, known, where.str());
+    }
+}
+
 std::vector<double>
-nodesFromJson(const json::Value &arr, const std::string &context)
+nodesFromJson(const json::Value &arr, const Where &where)
 {
     std::vector<double> nodes;
     for (const auto &entry : arr.asArray()) {
         const double node = entry.asNumber();
-        requireConfig(node > 0.0,
-                      context + ": nodes must be positive");
+        require(node > 0.0, where, "nodes must be positive");
         nodes.push_back(node);
     }
     return nodes;
@@ -222,20 +271,19 @@ appendRequest(json::StreamWriter &writer,
     writer.endObject();
 }
 
+namespace {
+
 AnalysisRequest
-requestFromJson(const json::Value &doc,
-                const std::string &context)
+requestAt(const json::Value &doc, const Where &where)
 {
-    requireConfig(doc.isObject(),
-                  context + ": request must be an object");
+    require(doc.isObject(), where, "request must be an object");
 
     AnalysisRequest request;
 
     const bool has_scenario = doc.contains("scenario");
     const bool has_dir = doc.contains("design_dir");
-    requireConfig(has_scenario != has_dir,
-                  context + ": set exactly one of scenario / "
-                            "design_dir");
+    require(has_scenario != has_dir, where,
+            "set exactly one of scenario / design_dir");
     request.scenario =
         has_scenario
             ? ScenarioRef::scenario(
@@ -247,39 +295,38 @@ requestFromJson(const json::Value &doc,
         doc.stringOr("analysis", "estimate"));
     switch (kind) {
       case AnalysisKind::Estimate: {
-        rejectUnknownKeys(
-            doc, {"scenario", "design_dir", "analysis"},
-            context);
+        rejectUnknown(doc, {"scenario", "design_dir", "analysis"},
+                      where);
         request.spec = EstimateSpec{};
         break;
       }
       case AnalysisKind::Sweep: {
-        rejectUnknownKeys(doc,
-                          {"scenario", "design_dir", "analysis",
-                           "nodes_nm", "nodes_per_chiplet"},
-                          context);
+        rejectUnknown(doc,
+                      {"scenario", "design_dir", "analysis",
+                       "nodes_nm", "nodes_per_chiplet"},
+                      where);
         SweepSpec spec;
         if (doc.contains("nodes_nm"))
             spec.nodesNm =
-                nodesFromJson(doc.at("nodes_nm"), context);
+                nodesFromJson(doc.at("nodes_nm"), where);
         if (doc.contains("nodes_per_chiplet"))
             for (const auto &nodes :
                  doc.at("nodes_per_chiplet").asArray())
                 spec.nodesPerChiplet.push_back(
-                    nodesFromJson(nodes, context));
-        requireConfig(spec.nodesNm.empty() !=
-                          spec.nodesPerChiplet.empty(),
-                      context +
-                          ": sweep needs exactly one of "
-                          "nodes_nm / nodes_per_chiplet");
+                    nodesFromJson(nodes, where));
+        require(spec.nodesNm.empty() !=
+                    spec.nodesPerChiplet.empty(),
+                where,
+                "sweep needs exactly one of nodes_nm / "
+                "nodes_per_chiplet");
         request.spec = std::move(spec);
         break;
       }
       case AnalysisKind::MonteCarlo: {
-        rejectUnknownKeys(doc,
-                          {"scenario", "design_dir", "analysis",
-                           "trials", "seed", "threads", "bands"},
-                          context);
+        rejectUnknown(doc,
+                      {"scenario", "design_dir", "analysis",
+                       "trials", "seed", "threads", "bands"},
+                      where);
         MonteCarloSpec spec;
         // asInteger rejects non-integral numbers (10.7 must not
         // silently truncate to 10 trials) and numbers outside
@@ -289,63 +336,57 @@ requestFromJson(const json::Value &doc,
         if (doc.contains("trials")) {
             const std::int64_t trials =
                 doc.at("trials").asInteger();
-            requireConfig(trials >= 2 &&
-                              trials <= kMaxTrials,
-                          context + ": trials must be in [2, " +
-                              std::to_string(kMaxTrials) + "]");
+            if (trials < 2 || trials > kMaxTrials)
+                fail(where, "trials must be in [2, " +
+                                std::to_string(kMaxTrials) + "]");
             spec.trials = static_cast<int>(trials);
         }
-        requireConfig(spec.trials >= 2,
-                      context + ": trials must be >= 2");
+        require(spec.trials >= 2, where, "trials must be >= 2");
         if (doc.contains("seed")) {
             const std::int64_t seed =
                 doc.at("seed").asInteger();
-            requireConfig(seed >= 0,
-                          context +
-                              ": seed must be non-negative");
+            require(seed >= 0, where,
+                    "seed must be non-negative");
             spec.seed = static_cast<std::uint64_t>(seed);
         }
         if (doc.contains("threads")) {
             const std::int64_t threads =
                 doc.at("threads").asInteger();
-            requireConfig(threads >= 1 &&
-                              threads <= kMaxThreads,
-                          context + ": threads must be in [1, " +
-                              std::to_string(kMaxThreads) + "]");
+            if (threads < 1 || threads > kMaxThreads)
+                fail(where, "threads must be in [1, " +
+                                std::to_string(kMaxThreads) + "]");
             spec.threads = static_cast<int>(threads);
         }
-        requireConfig(spec.threads >= 1,
-                      context + ": threads must be >= 1");
+        require(spec.threads >= 1, where,
+                "threads must be >= 1");
         if (doc.contains("bands"))
             spec.bands = uncertaintyBandsFromJson(
-                doc.at("bands"), context + ": bands");
+                doc.at("bands"), where.str() + ": bands");
         request.spec = spec;
         break;
       }
       case AnalysisKind::Sensitivity: {
-        rejectUnknownKeys(doc,
-                          {"scenario", "design_dir", "analysis",
-                           "metric", "delta"},
-                          context);
+        rejectUnknown(doc,
+                      {"scenario", "design_dir", "analysis",
+                       "metric", "delta"},
+                      where);
         SensitivitySpec spec;
         spec.metric = carbonMetricFromString(
             doc.stringOr("metric", "embodied"));
         spec.delta = doc.numberOr("delta", spec.delta);
-        requireConfig(spec.delta > 0.0 && spec.delta < 1.0,
-                      context +
-                          ": delta must be in (0, 1)");
+        require(spec.delta > 0.0 && spec.delta < 1.0, where,
+                "delta must be in (0, 1)");
         request.spec = spec;
         break;
       }
       case AnalysisKind::Cost: {
-        rejectUnknownKeys(
-            doc,
-            {"scenario", "design_dir", "analysis", "params"},
-            context);
+        rejectUnknown(
+            doc, {"scenario", "design_dir", "analysis", "params"},
+            where);
         CostSpec spec;
         if (doc.contains("params"))
             spec.params = costParamsFromJson(
-                doc.at("params"), context + ": params");
+                doc.at("params"), where.str() + ": params");
         request.spec = spec;
         break;
       }
@@ -353,28 +394,34 @@ requestFromJson(const json::Value &doc,
     return request;
 }
 
+} // namespace
+
+AnalysisRequest
+requestFromJson(const json::Value &doc,
+                const std::string &context)
+{
+    return requestAt(doc, {context, std::nullopt});
+}
+
 std::vector<AnalysisRequest>
 requestsFromJson(const json::Value &doc,
                  const std::string &context)
 {
+    const Where batch{context, std::nullopt};
     const json::Value *list = &doc;
     if (doc.isObject()) {
-        requireConfig(doc.contains("requests"),
-                      context + ": batch object needs a "
-                                "\"requests\" array");
+        require(doc.contains("requests"), batch,
+                "batch object needs a \"requests\" array");
         list = &doc.at("requests");
     }
 
     std::vector<AnalysisRequest> requests;
     std::size_t index = 0;
     for (const auto &entry : list->asArray()) {
-        requests.push_back(requestFromJson(
-            entry,
-            context + " #" + std::to_string(index)));
+        requests.push_back(requestAt(entry, {context, index}));
         ++index;
     }
-    requireConfig(!requests.empty(),
-                  context + ": batch has no requests");
+    require(!requests.empty(), batch, "batch has no requests");
     return requests;
 }
 

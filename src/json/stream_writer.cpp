@@ -162,6 +162,14 @@ StreamWriter::take()
 }
 
 void
+StreamWriter::clear()
+{
+    out_.clear();
+    frames_.clear();
+    has_root_ = false;
+}
+
+void
 appendValue(StreamWriter &writer, const Value &value)
 {
     switch (value.type()) {

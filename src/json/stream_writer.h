@@ -98,6 +98,13 @@ class StreamWriter
      */
     std::string take();
 
+    /**
+     * Drop the document so far, open scopes included, keeping the
+     * buffer's capacity: a writer reused for one document after
+     * another allocates only while its largest one grows.
+     */
+    void clear();
+
     /** True when one root value exists and every scope closed. */
     bool complete() const
     {

@@ -233,13 +233,59 @@ TEST(Engine, IdenticalBindingsShareOneEvaluationContext)
     ASSERT_TRUE(report.allOk());
     EXPECT_EQ(engine.contextCount(), 2u);
 
-    // Same binding, same context object (shared caches).
+    // Outside a batch a context stays cached: same binding, same
+    // context object (shared caches). The batch freed its ga102
+    // context, so this one is a third build.
     const AnalysisSession a =
         engine.sessionFor(ScenarioRef::scenario("ga102"));
+    a.estimate();
     const AnalysisSession b =
         engine.sessionFor(ScenarioRef::scenario("ga102"));
     EXPECT_EQ(&a.context(), &b.context());
-    EXPECT_GE(a.context().estimator().cache().report.size(), 1u);
+    EXPECT_GE(b.context().estimator().cache().report.size(), 1u);
+    EXPECT_EQ(engine.contextCount(), 3u);
+}
+
+TEST(Engine, BatchBuildsEachBindingOnceAndFreesItAfterItsLastRequest)
+{
+    // Four bindings, repeated and interleaved: every binding's
+    // last request comes after another binding's first.
+    const std::vector<std::string> names = {"ga102", "emr", "a15",
+                                            "fpga-pca"};
+    std::vector<AnalysisRequest> requests;
+    for (int round = 0; round < 6; ++round)
+        for (const std::string &name : names) {
+            if (round % 2 == 0)
+                requests.push_back(
+                    {ScenarioRef::scenario(name), EstimateSpec{}});
+            else
+                requests.push_back(
+                    {ScenarioRef::scenario(name), CostSpec{}});
+        }
+
+    for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+        AnalysisEngine engine(threads);
+        // Every context shares the engine's TechDb, so its use
+        // count rises by a context's share while one is cached.
+        // Reach it through a binding outside the batch, which
+        // stays cached.
+        const std::shared_ptr<const TechDb> tech =
+            engine.sessionFor(ScenarioRef::scenario("ga102-mono"))
+                .context()
+                .sharedTech();
+        const long idle = tech.use_count();
+
+        const BatchReport report = engine.runBatch(requests);
+        ASSERT_TRUE(report.allOk());
+        EXPECT_EQ(engine.contextCount(), names.size() + 1);
+        EXPECT_EQ(tech.use_count(), idle);
+
+        // A later batch over the same bindings builds them again.
+        ASSERT_TRUE(engine.runBatch(requests).allOk());
+        EXPECT_EQ(engine.contextCount(), 2 * names.size() + 1);
+        EXPECT_EQ(tech.use_count(), idle);
+    }
 }
 
 // ------------------------------------------------ request JSON
@@ -875,9 +921,56 @@ shippedBatch(const std::filesystem::path &path)
 }
 
 /**
+ * One encoded run of @p requests on @p engine: the report file
+ * spliced from worker texts and the stream lines are the bytes of
+ * the serial encoders.
+ */
+void
+expectRunEncodedLikeSerial(AnalysisEngine &engine,
+                           const std::vector<AnalysisRequest> &requests,
+                           const ScenarioRegistry &registry,
+                           const std::filesystem::path &path)
+{
+    std::vector<std::string> lines;
+    const EncodedBatch run = runEncodedBatch(
+        engine, requests, true, [&lines](const std::string &line) {
+            lines.push_back(line);
+        });
+    ASSERT_EQ(run.report.outcomes.size(), requests.size());
+    ASSERT_EQ(run.outcomeTexts.size(), requests.size());
+
+    writeBatchReportFile(run, path.string());
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream file;
+    file << in.rdbuf();
+    EXPECT_EQ(file.str(), batchReportText(run.report, true) + "\n");
+
+    // Equal to a plain runBatch on a fresh engine, too.
+    EngineOptions serial;
+    serial.registry = registry;
+    AnalysisEngine reference(std::move(serial));
+    EXPECT_EQ(file.str(),
+              batchReportText(reference.runBatch(requests), true) +
+                  "\n");
+
+    ASSERT_EQ(lines.size(), requests.size());
+    std::set<std::size_t> seen;
+    for (const auto &line : lines) {
+        const auto index = static_cast<std::size_t>(
+            json::parse(line).at("index").asInteger());
+        ASSERT_LT(index, requests.size());
+        EXPECT_TRUE(seen.insert(index).second) << index;
+        json::StreamWriter fresh;
+        appendStreamEvent(fresh, index, run.report.outcomes[index]);
+        EXPECT_EQ(line, fresh.take());
+    }
+}
+
+/**
  * The batch runs `eco_chip --batch` encodes on its workers: the
  * report file spliced from worker texts and the stream lines must
- * be the bytes of the serial encoders, at every thread count.
+ * be the bytes of the serial encoders, at every thread count, for
+ * a first and a second batch on one engine.
  */
 void
 expectEncodedLikeSerial(const std::vector<AnalysisRequest> &requests,
@@ -893,47 +986,24 @@ expectEncodedLikeSerial(const std::vector<AnalysisRequest> &requests,
              ->current_test_info()
              ->name() +
          ".json");
+    // The second batch runs on the same engine and puts a failed
+    // request between successes: the workers' reused encode
+    // buffers must reset between outcomes and between batches.
+    std::vector<AnalysisRequest> second = requests;
+    second.insert(second.begin() + requests.size() / 2,
+                  {ScenarioRef::scenario("no-such-scenario"),
+                   EstimateSpec{}});
     for (const int threads : {1, 2, 8}) {
-        SCOPED_TRACE(label + " at " + std::to_string(threads) +
-                     " thread(s)");
         EngineOptions options;
         options.threads = threads;
         options.registry = registry;
         AnalysisEngine engine(std::move(options));
-        std::vector<std::string> lines;
-        const EncodedBatch run = runEncodedBatch(
-            engine, requests, true,
-            [&lines](const std::string &line) {
-                lines.push_back(line);
-            });
-        ASSERT_EQ(run.report.outcomes.size(), requests.size());
-        ASSERT_EQ(run.outcomeTexts.size(), requests.size());
-
-        writeBatchReportFile(run, path.string());
-        std::ifstream in(path, std::ios::binary);
-        std::stringstream file;
-        file << in.rdbuf();
-        EXPECT_EQ(file.str(),
-                  batchReportText(run.report, true) + "\n");
-
-        // Equal to a plain runBatch on a fresh engine, too.
-        EngineOptions serial;
-        serial.registry = registry;
-        AnalysisEngine reference(std::move(serial));
-        EXPECT_EQ(file.str(),
-                  batchReportText(reference.runBatch(requests),
-                                  true) +
-                      "\n");
-
-        ASSERT_EQ(lines.size(), requests.size());
-        std::set<std::size_t> seen;
-        for (const auto &line : lines) {
-            const auto index = static_cast<std::size_t>(
-                json::parse(line).at("index").asInteger());
-            ASSERT_LT(index, requests.size());
-            EXPECT_TRUE(seen.insert(index).second) << index;
-            EXPECT_EQ(line, streamEventLine(
-                                index, run.report.outcomes[index]));
+        for (const bool again : {false, true}) {
+            SCOPED_TRACE(label + (again ? ", then" : "") + " at " +
+                         std::to_string(threads) + " thread(s)");
+            expectRunEncodedLikeSerial(engine,
+                                       again ? second : requests,
+                                       registry, path);
         }
     }
     std::filesystem::remove(path);
